@@ -7,8 +7,8 @@ package hdcirc
 //	go test -bench=. -benchmem
 //
 // prints both the runtime cost and the reproduced result shape. Full-size
-// numbers (d = 10000, full series) are produced by cmd/hdcrepro and
-// recorded in EXPERIMENTS.md.
+// numbers (d = 10000, full series) are produced by cmd/hdcrepro; the
+// internal/experiments tests pin them exactly.
 
 import (
 	"math"
@@ -28,65 +28,9 @@ const benchDim = 10000
 // Core operation benchmarks
 // ---------------------------------------------------------------------------
 
-func BenchmarkBind(b *testing.B) {
-	r := rng.New(1)
-	x := bitvec.Random(benchDim, r)
-	y := bitvec.Random(benchDim, r)
-	dst := bitvec.New(benchDim)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.XorInto(y, dst)
-	}
-}
-
-func BenchmarkDistance(b *testing.B) {
-	r := rng.New(2)
-	x := bitvec.Random(benchDim, r)
-	y := bitvec.Random(benchDim, r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink = x.Distance(y)
-	}
-	_ = sink
-}
-
-func BenchmarkBundleAccumulate(b *testing.B) {
-	r := rng.New(3)
-	v := bitvec.Random(benchDim, r)
-	acc := bitvec.NewAccumulator(benchDim)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc.Add(v)
-	}
-}
-
-func BenchmarkBundleThreshold(b *testing.B) {
-	r := rng.New(4)
-	acc := bitvec.NewAccumulator(benchDim)
-	for i := 0; i < 9; i++ {
-		acc.Add(bitvec.Random(benchDim, r))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = acc.Threshold(bitvec.TieZero, nil)
-	}
-}
-
-func BenchmarkPermuteBits(b *testing.B) {
-	r := rng.New(5)
-	v := bitvec.Random(benchDim, r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = v.RotateBits(1)
-	}
-}
-
+// BenchmarkPermuteWords times word-granular rotation. The other core
+// kernels (bind, distance, accumulate, threshold, bit rotation) are rows
+// of cmd/hdcbench, which CI gates against BENCH_kernels.json.
 func BenchmarkPermuteWords(b *testing.B) {
 	r := rng.New(6)
 	v := bitvec.Random(benchDim-benchDim%64, r)
@@ -275,7 +219,7 @@ func BenchmarkFigure8(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation benchmarks (design choices called out in DESIGN.md)
+// Ablation benchmarks
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationLevelGeneration compares the paper's Algorithm-1 level

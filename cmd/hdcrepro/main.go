@@ -31,7 +31,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table1|table2|figure3|markov|figure6|figure7|figure8|levelablation|decoderablation|dimsweep|emg|text|all")
+	exp := flag.String("exp", "all", "experiment to run: table1|table2|figure3|markov|figure6|figure7|figure8|levelablation|decoderablation|dimsweep|emg|text|cost|graph|robustness|all")
 	seed := flag.Uint64("seed", experiments.DefaultSeed, "root random seed")
 	dim := flag.Int("d", 10000, "hypervector dimension")
 	fast := flag.Bool("fast", false, "reduced workload sizes for a quick pass")
@@ -47,7 +47,7 @@ func run(exp string, seed uint64, dim int, fast bool) error {
 	w := os.Stdout
 	fmt.Fprintf(w, "hdcrepro: seed=%d d=%d fast=%v\n\n", seed, dim, fast)
 
-	table1 := func() {
+	table1Cfg := func() experiments.Table1Config {
 		cfg := experiments.DefaultTable1Config()
 		cfg.Classify.Seed = seed
 		cfg.Classify.D = dim
@@ -56,10 +56,9 @@ func run(exp string, seed uint64, dim int, fast bool) error {
 			cfg.Gesture.TrainPerGesture = 15
 			cfg.Gesture.TestPerGesture = 10
 		}
-		experiments.RenderTable1(w, experiments.RunTable1(cfg))
-		fmt.Fprintln(w)
+		return cfg
 	}
-	table2 := func() {
+	table2Cfg := func() experiments.Table2Config {
 		cfg := experiments.DefaultTable2Config()
 		cfg.Regress.Seed = seed
 		cfg.Regress.D = dim
@@ -68,7 +67,14 @@ func run(exp string, seed uint64, dim int, fast bool) error {
 			cfg.Temp.HourStep = 12
 			cfg.Orbit.N = 1500
 		}
-		experiments.RenderTable2(w, experiments.RunTable2(cfg))
+		return cfg
+	}
+	table1 := func() {
+		experiments.RenderTable1(w, experiments.RunTable1(table1Cfg()))
+		fmt.Fprintln(w)
+	}
+	table2 := func() {
+		experiments.RenderTable2(w, experiments.RunTable2(table2Cfg()))
 		fmt.Fprintln(w)
 	}
 	figure3 := func() {
@@ -95,57 +101,19 @@ func run(exp string, seed uint64, dim int, fast bool) error {
 		fmt.Fprintln(w)
 	}
 	figure7 := func() {
-		cfg := experiments.DefaultTable2Config()
-		cfg.Regress.Seed = seed
-		cfg.Regress.D = dim
-		if fast {
-			cfg.Regress.D = 4096
-			cfg.Temp.HourStep = 12
-			cfg.Orbit.N = 1500
-		}
-		experiments.RenderFigure7(w, experiments.RunFigure7(cfg))
+		experiments.RenderFigure7(w, experiments.RunFigure7(table2Cfg()))
 		fmt.Fprintln(w)
 	}
 	figure8 := func() {
+		t1, t2 := table1Cfg(), table2Cfg()
 		cfg := experiments.DefaultFigure8Config()
-		cfg.Classify.Seed = seed
-		cfg.Regress.Seed = seed
-		cfg.Classify.D = dim
-		cfg.Regress.D = dim
+		cfg.Classify, cfg.Gesture = t1.Classify, t1.Gesture
+		cfg.Regress, cfg.Temp, cfg.Orbit = t2.Regress, t2.Temp, t2.Orbit
 		if fast {
-			cfg.Classify.D = 4096
-			cfg.Regress.D = 4096
 			cfg.RGrid = []float64{0, 0.05, 0.2, 0.6, 1}
-			cfg.Gesture.TrainPerGesture = 15
-			cfg.Gesture.TestPerGesture = 10
-			cfg.Temp.HourStep = 12
-			cfg.Orbit.N = 1500
 		}
 		experiments.RenderFigure8(w, experiments.RunFigure8(cfg))
 		fmt.Fprintln(w)
-	}
-
-	table1Cfg := func() experiments.Table1Config {
-		cfg := experiments.DefaultTable1Config()
-		cfg.Classify.Seed = seed
-		cfg.Classify.D = dim
-		if fast {
-			cfg.Classify.D = 4096
-			cfg.Gesture.TrainPerGesture = 15
-			cfg.Gesture.TestPerGesture = 10
-		}
-		return cfg
-	}
-	table2Cfg := func() experiments.Table2Config {
-		cfg := experiments.DefaultTable2Config()
-		cfg.Regress.Seed = seed
-		cfg.Regress.D = dim
-		if fast {
-			cfg.Regress.D = 4096
-			cfg.Temp.HourStep = 12
-			cfg.Orbit.N = 1500
-		}
-		return cfg
 	}
 	levelAblation := func() {
 		experiments.RenderLevelAblation(w, experiments.RunLevelAblation(table1Cfg(), table2Cfg()))
@@ -207,14 +175,10 @@ func run(exp string, seed uint64, dim int, fast bool) error {
 		fmt.Fprintln(w)
 	}
 	robustness := func() {
+		// The sweep starts from Table 1's Knot Tying circular cell.
+		t1 := table1Cfg()
 		cfg := experiments.DefaultRobustnessConfig()
-		cfg.Classify.Seed = seed
-		cfg.Classify.D = dim
-		if fast {
-			cfg.Classify.D = 4096
-			cfg.Gesture.TrainPerGesture = 15
-			cfg.Gesture.TestPerGesture = 10
-		}
+		cfg.Classify, cfg.Gesture = t1.Classify, t1.Gesture
 		experiments.RenderRobustness(w, experiments.RunRobustness(cfg))
 		fmt.Fprintln(w)
 	}

@@ -13,11 +13,10 @@ import (
 	"hdcirc/internal/experiments"
 )
 
-// TestGoldenDeterminism pins the full-stack determinism contract: the same
-// seed must reproduce the exact accuracy on the gesture task, run after
-// run, machine after machine. If this test fails after a refactor, the
-// repository's recorded EXPERIMENTS.md numbers are no longer reproducible
-// and must be regenerated.
+// TestGoldenDeterminism pins the full-stack determinism contract: the
+// default seed must reproduce this recorded accuracy on the gesture task,
+// run after run, machine after machine. The paper's full-size cells are
+// pinned in internal/experiments (TestPaperTablesPinned).
 func TestGoldenDeterminism(t *testing.T) {
 	cfg := experiments.DefaultClassifyConfig()
 	cfg.D = 2048
@@ -25,18 +24,15 @@ func TestGoldenDeterminism(t *testing.T) {
 	g.TrainPerGesture = 10
 	g.TestPerGesture = 6
 	ds := dataset.GenGestures(g, experiments.DefaultSeed)
-	a := experiments.RunGestureClassification(ds, core.KindCircular, cfg)
-	b := experiments.RunGestureClassification(ds, core.KindCircular, cfg)
-	if a.Accuracy != b.Accuracy {
-		t.Fatalf("same-seed accuracies differ: %v vs %v", a.Accuracy, b.Accuracy)
+	const recorded = 0.8333333333333334
+	if got := experiments.RunGestureClassification(ds, core.KindCircular, cfg).Accuracy; got != recorded {
+		t.Fatalf("accuracy %v, recorded %v", got, recorded)
 	}
-	// A different seed must (generically) change the value — guards
-	// against a silently ignored seed.
-	cfg2 := cfg
-	cfg2.Seed = cfg.Seed + 1
-	c := experiments.RunGestureClassification(ds, core.KindCircular, cfg2)
-	if a.Accuracy == c.Accuracy {
-		t.Log("different seed produced identical accuracy (possible but unlikely); not failing")
+	// A different seed must change the value: guards against a silently
+	// ignored seed.
+	cfg.Seed++
+	if got := experiments.RunGestureClassification(ds, core.KindCircular, cfg).Accuracy; got == recorded {
+		t.Errorf("seed %d reproduces the default seed's accuracy %v", cfg.Seed, got)
 	}
 }
 

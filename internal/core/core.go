@@ -352,7 +352,7 @@ func LevelExpectedDistance(m, i, j int) float64 {
 // CircularExpectedDistance returns the expected normalized distance between
 // circular-hypervectors i and j (0-based) of a set of size m: the
 // arc-proportional profile min(lag, m−lag)/m realized by the two-phase
-// construction (see DESIGN.md §6 on the triangular-vs-cosine distinction).
+// construction, triangular in the lag rather than cosine-shaped.
 func CircularExpectedDistance(m, i, j int) float64 {
 	if m < 2 {
 		return 0

@@ -4,7 +4,7 @@
 // generator below preserves the statistical property the corresponding
 // experiment probes — informative features that are *circular* (angles,
 // day-of-year, hour-of-day, orbital phase), with clusters and trends that
-// straddle the wrap-around point. DESIGN.md §3 records the substitutions.
+// straddle the wrap-around point.
 //
 // All generators are deterministic in (config, seed).
 package dataset

@@ -2,9 +2,10 @@ package dataset
 
 // Extension workloads beyond the paper's three evaluation datasets, from
 // the lineage the paper builds on: EMG biosignal gesture recognition
-// (Rahimi et al. 2016 — where level-hypervectors were introduced) and text
-// language identification (Section 3.1's symbol encoding). Both are
-// synthetic for the same licensing reasons as the main workloads.
+// (Rahimi et al. 2016 — where level-hypervectors were introduced), text
+// language identification (Section 3.1's symbol encoding) and GraphHD's
+// graph classification (Nunes et al., DATE 2022). All are synthetic for
+// the same licensing reasons as the main workloads.
 
 import (
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"strings"
 
 	"hdcirc/internal/dist"
+	"hdcirc/internal/graph"
 	"hdcirc/internal/rng"
 )
 
@@ -209,4 +211,39 @@ func GenText(cfg TextConfig, seed uint64) *TextDataset {
 		Train:  gen(rng.Sub(seed, "text/train"), cfg.TrainPerLang),
 		Test:   gen(rng.Sub(seed, "text/test"), cfg.TestPerLang),
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Random-graph families (GraphHD)
+// ---------------------------------------------------------------------------
+
+// GraphFamilies names the synthetic graph families in label order.
+var GraphFamilies = []string{"erdos-renyi", "pref-attach", "watts-strogatz"}
+
+// GraphSample is one synthetic graph with its family label.
+type GraphSample struct {
+	Graph *graph.Graph
+	Label int // index into GraphFamilies
+}
+
+// GenGraphs draws per graphs of n vertices from each family in label
+// order, all from r. The families have matched average degree (~4), so
+// density alone cannot separate them; only structure can.
+func GenGraphs(n, per int, r *rng.Stream) []GraphSample {
+	out := make([]GraphSample, 0, per*len(GraphFamilies))
+	for label := range GraphFamilies {
+		for i := 0; i < per; i++ {
+			var g *graph.Graph
+			switch label {
+			case 0:
+				g = graph.ErdosRenyi(n, 4/float64(n-1), r)
+			case 1:
+				g = graph.PreferentialAttachment(n, 2, r)
+			default:
+				g = graph.WattsStrogatz(n, 4, 0.1, r)
+			}
+			out = append(out, GraphSample{Graph: g, Label: label})
+		}
+	}
+	return out
 }

@@ -1,9 +1,9 @@
 // Package embed builds the paper's encoding functions φ: it maps atomic
 // values (symbols, real numbers, angles) to basis-hypervectors and composes
-// them into records, sequences and n-grams with the HDC operations. The
-// scalar and circular encoders are invertible (Section 2.3 needs φℓ⁻¹ to
-// decode regression labels): decoding finds the most similar basis vector
-// and returns the value it quantizes.
+// them into records, sequences, n-grams and graphs with the HDC operations.
+// The scalar and circular encoders are invertible (Section 2.3 needs φℓ⁻¹
+// to decode regression labels): decoding finds the most similar basis
+// vector and returns the value it quantizes.
 package embed
 
 import (
@@ -13,6 +13,7 @@ import (
 
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/core"
+	"hdcirc/internal/graph"
 	"hdcirc/internal/index"
 	"hdcirc/internal/rng"
 )
@@ -480,4 +481,25 @@ func (e *NGramEncoder) Encode(items []*bitvec.Vector) *bitvec.Vector {
 		acc.Add(gram)
 	}
 	return acc.ThresholdTieVector(e.tieVec)
+}
+
+// ---------------------------------------------------------------------------
+// Graph encoder (GraphHD)
+// ---------------------------------------------------------------------------
+
+// EncodeGraph implements the GraphHD encoding (Nunes et al., DATE 2022):
+// each vertex takes the basis vector at its degree-centrality rank, each
+// edge binds its endpoints' vectors, and the graph is the majority bundle
+// of its edges, ties resolving to tieVec. Structurally similar graphs thus
+// share encodings, and isomorphic graphs encode identically up to tie
+// order. A graph with no edges encodes to tieVec.
+func EncodeGraph(g *graph.Graph, vertexBasis *core.Set, tieVec *bitvec.Vector) *bitvec.Vector {
+	rank := g.DegreeRank()
+	acc := bitvec.NewAccumulator(vertexBasis.Dim())
+	tmp := bitvec.New(vertexBasis.Dim())
+	for _, e := range g.Edges() {
+		vertexBasis.At(rank[e[0]]).XorInto(vertexBasis.At(rank[e[1]]), tmp)
+		acc.Add(tmp)
+	}
+	return acc.ThresholdTieVector(tieVec)
 }

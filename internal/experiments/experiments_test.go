@@ -10,7 +10,7 @@ import (
 )
 
 // Reduced-size configs keep the suite fast while preserving every shape
-// assertion; the full-size numbers live in EXPERIMENTS.md.
+// assertion; pin_test.go pins the full-size Table 1 and 2 cells.
 
 func fastClassify() ClassifyConfig {
 	c := DefaultClassifyConfig()

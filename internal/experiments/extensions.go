@@ -1,10 +1,10 @@
 package experiments
 
 // Extension experiments beyond the paper's evaluation: the EMG and text
-// workloads from the lineage the paper cites, and the ablations DESIGN.md
-// calls out (Algorithm-1 vs legacy level generation, weighted vs nearest
-// decoding, dimension sweep). All follow the same deterministic-config
-// pattern as the table/figure runners.
+// workloads from the lineage the paper cites, and ablations of the
+// library's design choices (Algorithm-1 vs legacy level generation,
+// weighted vs nearest decoding, dimension sweep). All follow the same
+// deterministic-config pattern as the table/figure runners.
 
 import (
 	"fmt"
@@ -193,70 +193,24 @@ type DecoderAblationRow struct {
 	WeightedMSE float64 // top-k similarity-weighted decode (k = 5)
 }
 
-// RunDecoderAblation re-runs the circular-basis regression cells with the
-// nearest-label decode of Section 2.3 versus the top-k weighted decode
-// extension (embed.DecodeWeighted).
+// RunDecoderAblation decodes Table 2's circular-basis cells with the
+// nearest-label decode of Section 2.3, which gives the Table 2 cell, and
+// with the top-k weighted decode extension (embed.DecodeWeighted).
 func RunDecoderAblation(cfg Table2Config) []DecoderAblationRow {
 	const topK = 5
-	temps := dataset.GenTemperature(cfg.Temp, cfg.Regress.Seed)
-	orbits := dataset.GenOrbitPower(cfg.Orbit, cfg.Regress.Seed)
 	rc := cfg.Regress
 	rc.R = cfg.CircularR
-
-	rows := make([]DecoderAblationRow, 0, 2)
-
-	// Beijing with both decoders.
-	{
-		train, test := dataset.SplitChronological(temps, 0.7)
-		basisStream := rng.Sub(rc.Seed, "ablation/decoder/beijing")
-		dayEnc := embed.NewCircularEncoder(core.CircularSetR(rc.DayLevels, rc.D, rc.R, basisStream), 365)
-		hourEnc := embed.NewCircularEncoder(core.CircularSetR(rc.HourLevels, rc.D, rc.R, basisStream), 24)
-		yearEnc := embed.NewScalarEncoder(core.LevelSet(rc.YearLevels, rc.D, basisStream), 0, 5)
-		lo, hi := dataset.TempRange(train)
-		labelEnc := embed.NewScalarEncoder(core.LevelSet(rc.LabelLevels, rc.D, basisStream), lo, hi)
-		reg := model.NewRegressor(rc.D, rc.Seed^hash("ablation/beijing"))
-		encode := func(s dataset.TempSample) *bitvec.Vector {
-			return yearEnc.Encode(float64(s.YearIndex)).
-				Xor(dayEnc.Encode(s.DayOfYear)).
-				Xor(hourEnc.Encode(s.HourOfDay))
-		}
-		for _, s := range train {
-			reg.Add(encode(s), labelEnc.Encode(s.Temp))
-		}
-		var seN, seW float64
-		for _, s := range test {
-			pv := reg.PredictVector(encode(s))
-			dn := labelEnc.Decode(pv) - s.Temp
-			dw := labelEnc.DecodeWeighted(pv, topK) - s.Temp
-			seN += dn * dn
-			seW += dw * dw
-		}
-		n := float64(len(test))
-		rows = append(rows, DecoderAblationRow{Dataset: "Beijing", NearestMSE: seN / n, WeightedMSE: seW / n})
+	cells := []*regressionCell{ // in Table2Datasets order
+		fitTemperature(dataset.GenTemperature(cfg.Temp, rc.Seed), core.KindCircular, rc),
+		fitOrbit(dataset.GenOrbitPower(cfg.Orbit, rc.Seed), core.KindCircular, rc),
 	}
-
-	// Mars Express with both decoders.
-	{
-		split := rng.Sub(rc.Seed, "regress/mars/split")
-		train, test := dataset.SplitRandom(orbits, 0.7, split)
-		basisStream := rng.Sub(rc.Seed, "ablation/decoder/mars")
-		anomalyEnc := embed.NewCircularEncoder(core.CircularSetR(rc.AnomalyLevels, rc.D, rc.R, basisStream), 2*pi)
-		lo, hi := dataset.PowerRange(train)
-		labelEnc := embed.NewScalarEncoder(core.LevelSet(rc.LabelLevels, rc.D, basisStream), lo, hi)
-		reg := model.NewRegressor(rc.D, rc.Seed^hash("ablation/mars"))
-		for _, s := range train {
-			reg.Add(anomalyEnc.Encode(s.MeanAnomaly), labelEnc.Encode(s.Power))
-		}
-		var seN, seW float64
-		for _, s := range test {
-			pv := reg.PredictVector(anomalyEnc.Encode(s.MeanAnomaly))
-			dn := labelEnc.Decode(pv) - s.Power
-			dw := labelEnc.DecodeWeighted(pv, topK) - s.Power
-			seN += dn * dn
-			seW += dw * dw
-		}
-		n := float64(len(test))
-		rows = append(rows, DecoderAblationRow{Dataset: "Mars Express", NearestMSE: seN / n, WeightedMSE: seW / n})
+	rows := make([]DecoderAblationRow, len(cells))
+	for i, c := range cells {
+		nearest, _ := c.score(c.nearest)
+		weighted, _ := c.score(func(hv *bitvec.Vector) float64 {
+			return c.labels.DecodeWeighted(c.reg.PredictVector(hv), topK)
+		})
+		rows[i] = DecoderAblationRow{Dataset: Table2Datasets[i], NearestMSE: nearest, WeightedMSE: weighted}
 	}
 	return rows
 }

@@ -6,18 +6,17 @@ import (
 
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/core"
-	"hdcirc/internal/graph"
+	"hdcirc/internal/dataset"
+	"hdcirc/internal/embed"
 	"hdcirc/internal/model"
 	"hdcirc/internal/rng"
 	"hdcirc/internal/stats"
 )
 
 // GraphHD extension (Nunes et al., DATE 2022 — the paper's reference [31]):
-// a graph is encoded as the bundle of its edges, each edge being the
-// binding of its endpoints' vertex hypervectors, with vertices assigned
-// basis vectors by centrality rank so structurally similar graphs share
-// encodings. We classify three synthetic random-graph families that differ
-// only in structure.
+// we classify the three synthetic random-graph families of
+// dataset.GenGraphs, which differ only in structure, each graph encoded as
+// the bundle of its edges by embed.EncodeGraph.
 
 // GraphHDConfig parameterizes the graph-classification extension.
 type GraphHDConfig struct {
@@ -33,37 +32,6 @@ func DefaultGraphHDConfig() GraphHDConfig {
 	return GraphHDConfig{D: 10000, Vertices: 40, TrainPerClass: 30, TestPerClass: 20, Seed: DefaultSeed}
 }
 
-// graphFamilies lists the class names in label order.
-var graphFamilies = []string{"erdos-renyi", "pref-attach", "watts-strogatz"}
-
-// genGraph draws one graph of the given class with matched average degree
-// (~4), so density alone cannot separate the families.
-func genGraph(class int, n int, r *rng.Stream) *graph.Graph {
-	switch class {
-	case 0:
-		return graph.ErdosRenyi(n, 4/float64(n-1), r)
-	case 1:
-		return graph.PreferentialAttachment(n, 2, r)
-	default:
-		return graph.WattsStrogatz(n, 4, 0.1, r)
-	}
-}
-
-// encodeGraph implements the GraphHD encoding: vertex hypervectors come
-// from a shared random basis indexed by degree-centrality rank; the graph
-// is the majority bundle of its bound edge pairs. Graphs with no edges
-// encode to the tie vector (never happens for the synthetic families).
-func encodeGraph(g *graph.Graph, vertexBasis *core.Set, tieVec *bitvec.Vector) *bitvec.Vector {
-	rank := g.DegreeRank()
-	acc := bitvec.NewAccumulator(vertexBasis.Dim())
-	tmp := bitvec.New(vertexBasis.Dim())
-	for _, e := range g.Edges() {
-		vertexBasis.At(rank[e[0]]).XorInto(vertexBasis.At(rank[e[1]]), tmp)
-		acc.Add(tmp)
-	}
-	return acc.ThresholdTieVector(tieVec)
-}
-
 // GraphHDResult is the outcome of the graph-classification extension.
 type GraphHDResult struct {
 	Accuracy float64
@@ -75,32 +43,19 @@ type GraphHDResult struct {
 func RunGraphHD(cfg GraphHDConfig) GraphHDResult {
 	basis := core.RandomSet(cfg.Vertices, cfg.D, rng.Sub(cfg.Seed, "graphhd/basis"))
 	tieVec := bitvec.Random(cfg.D, rng.Sub(cfg.Seed, "graphhd/ties"))
-
-	gen := func(label string, per int) ([]*bitvec.Vector, []int) {
-		stream := rng.Sub(cfg.Seed, "graphhd/"+label)
-		var hvs []*bitvec.Vector
-		var labels []int
-		for class := range graphFamilies {
-			for i := 0; i < per; i++ {
-				g := genGraph(class, cfg.Vertices, stream)
-				hvs = append(hvs, encodeGraph(g, basis, tieVec))
-				labels = append(labels, class)
-			}
-		}
-		return hvs, labels
+	split := func(name string, per int) []dataset.GraphSample {
+		return dataset.GenGraphs(cfg.Vertices, per, rng.Sub(cfg.Seed, "graphhd/"+name))
 	}
 
-	trainHVs, trainLabels := gen("train", cfg.TrainPerClass)
-	testHVs, testLabels := gen("test", cfg.TestPerClass)
-
-	clf := model.NewClassifier(len(graphFamilies), cfg.D, cfg.Seed^hash("graphhd/clf"))
-	for i, hv := range trainHVs {
-		clf.Add(trainLabels[i], hv)
+	classes := len(dataset.GraphFamilies)
+	clf := model.NewClassifier(classes, cfg.D, cfg.Seed^hash("graphhd/clf"))
+	for _, s := range split("train", cfg.TrainPerClass) {
+		clf.Add(s.Label, embed.EncodeGraph(s.Graph, basis, tieVec))
 	}
-	conf := stats.NewConfusion(len(graphFamilies))
-	for i, hv := range testHVs {
-		pred, _ := clf.Predict(hv)
-		conf.Observe(testLabels[i], pred)
+	conf := stats.NewConfusion(classes)
+	for _, s := range split("test", cfg.TestPerClass) {
+		pred, _ := clf.Predict(embed.EncodeGraph(s.Graph, basis, tieVec))
+		conf.Observe(s.Label, pred)
 	}
 	return GraphHDResult{Accuracy: conf.Accuracy(), Conf: conf}
 }
@@ -109,8 +64,8 @@ func RunGraphHD(cfg GraphHDConfig) GraphHDResult {
 // recall.
 func RenderGraphHD(w io.Writer, res GraphHDResult) {
 	fmt.Fprintf(w, "Extension — GraphHD: %d graph families, accuracy %.1f%%\n",
-		len(graphFamilies), 100*res.Accuracy)
+		len(dataset.GraphFamilies), 100*res.Accuracy)
 	for i, rec := range res.Conf.PerClassRecall() {
-		fmt.Fprintf(w, "  %-16s recall %.1f%%\n", graphFamilies[i], 100*rec)
+		fmt.Fprintf(w, "  %-16s recall %.1f%%\n", dataset.GraphFamilies[i], 100*rec)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/core"
 	"hdcirc/internal/dataset"
-	"hdcirc/internal/embed"
-	"hdcirc/internal/model"
 	"hdcirc/internal/rng"
 )
 
@@ -42,74 +40,35 @@ type RobustnessPoint struct {
 	Accuracy     float64
 }
 
-// RunRobustness trains the circular-basis gesture classifier once, then
-// measures test accuracy after flipping increasing fractions of the class
-// prototypes' bits. Fault injection is deterministic in the seed.
+// RunRobustness fits Table 1's Knot Tying circular cell, then measures its
+// test accuracy after flipping increasing fractions of the class
+// prototypes' bits, so the 0-fault point is that Table 1 cell. Fault
+// injection is deterministic in the seed.
 func RunRobustness(cfg RobustnessConfig) []RobustnessPoint {
 	cfg.Gesture.Task = "Knot Tying"
 	ds := dataset.GenGestures(cfg.Gesture, cfg.Classify.Seed)
 	cc := cfg.Classify
 	cc.R = cfg.CircularR
-
-	basisStream := rng.Sub(cc.Seed, "robustness/basis")
-	set := core.CircularSetR(cc.ValueLevels, cc.D, cc.R, basisStream)
-	enc := embed.NewCircularEncoder(set, 2*pi)
-	record := embed.NewRecordEncoder(cc.D, ds.Config.NumFeatures, cc.Seed^hash("robustness"))
-	encs := make([]embed.FieldEncoder, ds.Config.NumFeatures)
-	for i := range encs {
-		encs[i] = enc
-	}
-	encode := func(s dataset.GestureSample) *bitvec.Vector {
-		return record.EncodeRecord(s.Features, encs)
-	}
-
-	clf := model.NewClassifier(ds.Config.NumGestures, cc.D, cc.Seed^hash("robustness/clf"))
-	for _, s := range ds.Train {
-		clf.Add(s.Label, encode(s))
-	}
-	clf.Finalize()
-
-	// Pre-encode the test set once; only the prototypes are corrupted.
-	testHVs := make([]*bitvec.Vector, len(ds.Test))
-	for i, s := range ds.Test {
-		testHVs[i] = encode(s)
-	}
-
-	// Snapshot clean prototypes.
-	clean := make([]*bitvec.Vector, ds.Config.NumGestures)
-	for i := range clean {
-		clean[i] = clf.ClassVector(i).Clone()
-	}
-
-	evalWith := func(protos []*bitvec.Vector) float64 {
-		correct := 0
-		for i, hv := range testHVs {
-			best, bestC := 2.0, 0
-			for c, p := range protos {
-				if d := hv.Distance(p); d < best {
-					best, bestC = d, c
-				}
-			}
-			if bestC == ds.Test[i].Label {
-				correct++
-			}
-		}
-		return float64(correct) / float64(len(testHVs))
-	}
+	clf, testHVs := fitGesture(ds, core.KindCircular, cc)
 
 	out := make([]RobustnessPoint, len(cfg.FlipGrid))
 	for gi, frac := range cfg.FlipGrid {
 		faults := rng.Sub(cc.Seed, fmt.Sprintf("robustness/faults/%g", frac))
-		protos := make([]*bitvec.Vector, len(clean))
 		n := int(frac * float64(cc.D))
-		for i, p := range clean {
-			v := p.Clone()
+		protos := make([]*bitvec.Vector, ds.Config.NumGestures)
+		for c := range protos {
+			protos[c] = clf.ClassVector(c).Clone()
 			for f := 0; f < n; f++ {
-				v.FlipBit(faults.Intn(cc.D))
+				protos[c].FlipBit(faults.Intn(cc.D))
 			}
-			protos[i] = v
 		}
-		out[gi] = RobustnessPoint{FlipFraction: frac, Accuracy: evalWith(protos)}
+		correct := 0
+		for i, hv := range testHVs {
+			if c, _ := bitvec.Nearest(hv, protos); c == ds.Test[i].Label {
+				correct++
+			}
+		}
+		out[gi] = RobustnessPoint{FlipFraction: frac, Accuracy: float64(correct) / float64(len(testHVs))}
 	}
 	return out
 }

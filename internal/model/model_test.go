@@ -213,9 +213,8 @@ func TestRegressorSinglePairExactRecovery(t *testing.T) {
 
 // The bundled regressor acts as kernel-weighted median regression: the
 // decode is pulled toward labels of x-similar training samples, with a
-// kernel set by the basis geometry (see the weighted-median analysis in
-// DESIGN.md). These tests assert that behaviour rather than exact
-// pointwise recovery, which the architecture does not (and per the paper's
+// kernel set by the basis geometry. These tests assert that behaviour
+// rather than exact pointwise recovery, which the architecture does not (and per the paper's
 // own MSE magnitudes, should not) deliver.
 func TestRegressorTracksMonotoneFunction(t *testing.T) {
 	d := 10000

@@ -3,18 +3,17 @@ package scenario
 import (
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/core"
+	"hdcirc/internal/dataset"
+	"hdcirc/internal/embed"
 	"hdcirc/internal/graph"
 	"hdcirc/internal/rng"
 )
 
-// GraphHD classification (Nunes et al., DATE 2022 lineage): three
-// synthetic random-graph families with matched average degree — Erdős–
-// Rényi, preferential attachment, Watts–Strogatz — separable only by
-// structure. The wire record is the flattened upper triangle of the
-// adjacency matrix (one 0/1 float per vertex pair); the server-side
-// encoder rebuilds the graph, ranks vertices by degree centrality, and
-// bundles the bound endpoint pairs of every edge, so isomorphic graphs
-// encode identically up to tie order.
+// GraphHD classification (Nunes et al., DATE 2022 lineage): the three
+// random-graph families of dataset.GenGraphs, separable only by structure.
+// The wire record is the flattened upper triangle of the adjacency matrix
+// (one 0/1 float per vertex pair); the server-side encoder rebuilds the
+// graph and encodes it with embed.EncodeGraph.
 
 const (
 	graphhdDim      = 4096
@@ -23,8 +22,6 @@ const (
 	graphhdTrain    = 30 // per family
 	graphhdTest     = 20 // per family
 )
-
-var graphhdFamilies = []string{"erdos-renyi", "pref-attach", "watts-strogatz"}
 
 // graphEncoder is the serving encoder for the graphhd scenario.
 type graphEncoder struct {
@@ -48,14 +45,7 @@ func (e *graphEncoder) Encode(features []float64) *bitvec.Vector {
 			i++
 		}
 	}
-	rank := g.DegreeRank()
-	acc := bitvec.NewAccumulator(e.basis.Dim())
-	tmp := bitvec.New(e.basis.Dim())
-	for _, edge := range g.Edges() {
-		e.basis.At(rank[edge[0]]).XorInto(e.basis.At(rank[edge[1]]), tmp)
-		acc.Add(tmp)
-	}
-	return acc.ThresholdTieVector(e.tieVec)
+	return embed.EncodeGraph(g, e.basis, e.tieVec)
 }
 
 // graphToRow flattens a graph into its wire record.
@@ -74,28 +64,15 @@ func graphToRow(g *graph.Graph, label int) Row {
 	return Row{Label: label, Features: features}
 }
 
-// genFamilyGraph draws one graph of the given family with matched average
-// degree (~4), so density alone cannot separate the classes.
-func genFamilyGraph(class, n int, r *rng.Stream) *graph.Graph {
-	switch class {
-	case 0:
-		return graph.ErdosRenyi(n, 4/float64(n-1), r)
-	case 1:
-		return graph.PreferentialAttachment(n, 2, r)
-	default:
-		return graph.WattsStrogatz(n, 4, 0.1, r)
-	}
-}
-
 func buildGraphHD() *Scenario {
 	sc := &Scenario{
 		Name:        "graphhd",
 		Description: "GraphHD: three random-graph families, centrality-ranked edge-bundle encoding",
 		Dim:         graphhdDim,
-		Classes:     len(graphhdFamilies),
+		Classes:     len(dataset.GraphFamilies),
 		Shards:      2,
 		Seed:        graphhdSeed,
-		ClassNames:  graphhdFamilies,
+		ClassNames:  dataset.GraphFamilies,
 		Encoder: &graphEncoder{
 			vertices: graphhdVertices,
 			basis:    core.RandomSet(graphhdVertices, graphhdDim, rng.Sub(graphhdSeed, "scenario/graphhd/basis")),
@@ -104,12 +81,9 @@ func buildGraphHD() *Scenario {
 		AccuracyFloor: 0.60,
 	}
 	gen := func(split string, per int) []Row {
-		stream := rng.Sub(graphhdSeed, "scenario/graphhd/"+split)
 		var rows []Row
-		for class := range graphhdFamilies {
-			for i := 0; i < per; i++ {
-				rows = append(rows, graphToRow(genFamilyGraph(class, graphhdVertices, stream), class))
-			}
+		for _, s := range dataset.GenGraphs(graphhdVertices, per, rng.Sub(graphhdSeed, "scenario/graphhd/"+split)) {
+			rows = append(rows, graphToRow(s.Graph, s.Label))
 		}
 		return rows
 	}

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // RayleighTest tests the null hypothesis that an angular sample is uniform
@@ -72,9 +73,8 @@ func Quantile(xs []float64, q float64) float64 {
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("stats: quantile %v outside [0,1]", q))
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	insertionSort(sorted)
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
@@ -85,50 +85,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// insertionSort keeps stats dependency-free of package sort for one call
-// site and is fast for the short slices reporting uses; it falls back to
-// a simple quicksort above a threshold.
-func insertionSort(xs []float64) {
-	if len(xs) > 64 {
-		quicksort(xs)
-		return
-	}
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > v {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
-}
-
-func quicksort(xs []float64) {
-	if len(xs) < 2 {
-		return
-	}
-	if len(xs) <= 64 {
-		insertionSort(xs)
-		return
-	}
-	pivot := xs[len(xs)/2]
-	lo, hi := 0, len(xs)-1
-	for lo <= hi {
-		for xs[lo] < pivot {
-			lo++
-		}
-		for xs[hi] > pivot {
-			hi--
-		}
-		if lo <= hi {
-			xs[lo], xs[hi] = xs[hi], xs[lo]
-			lo++
-			hi--
-		}
-	}
-	quicksort(xs[:hi+1])
-	quicksort(xs[lo:])
 }

@@ -2,9 +2,7 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"hdcirc/internal/rng"
 )
@@ -148,31 +146,6 @@ func TestQuantilePanics(t *testing.T) {
 		}()
 		Quantile([]float64{1}, 1.5)
 	}()
-}
-
-func TestQuickSortMatchesStdlib(t *testing.T) {
-	f := func(raw []float64) bool {
-		for _, v := range raw {
-			if math.IsNaN(v) {
-				return true
-			}
-		}
-		mine := make([]float64, len(raw))
-		copy(mine, raw)
-		quicksort(mine)
-		ref := make([]float64, len(raw))
-		copy(ref, raw)
-		sort.Float64s(ref)
-		for i := range mine {
-			if mine[i] != ref[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestQuicksortLargeSlice(t *testing.T) {

@@ -195,7 +195,8 @@ func CircularDistance(alpha, beta float64) float64 {
 
 // ArcDistance returns the normalized arc-length distance in [0, 1]:
 // min(|α−β| mod 2π, 2π − |α−β| mod 2π) / π. This is the profile the
-// two-phase circular construction actually realizes (see DESIGN.md §6).
+// two-phase circular construction actually realizes (per set, see
+// core.CircularExpectedDistance).
 func ArcDistance(alpha, beta float64) float64 {
 	d := math.Mod(math.Abs(alpha-beta), 2*math.Pi)
 	if d > math.Pi {
