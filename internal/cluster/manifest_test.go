@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"syscall"
 	"testing"
+
+	"hdcirc/internal/vfs"
 )
 
 func writeFile(t *testing.T, path string, data []byte) {
@@ -135,6 +138,40 @@ func TestSaveLoad(t *testing.T) {
 	writeFile(t, badPath, raw)
 	if _, err := Load(nil, badPath); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt manifest load error = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSaveFaultLeavesNoTempFile: a save that fails before its rename
+// returns the injected errno, removes its temp file, and leaves the
+// previous manifest loadable.
+func TestSaveFaultLeavesNoTempFile(t *testing.T) {
+	for _, op := range []vfs.Op{vfs.OpWrite, vfs.OpSync, vfs.OpRename} {
+		t.Run(string(op), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "cluster.hclu")
+			prev := testManifest(2)
+			prev.Version = 1
+			prev.Normalize()
+			ffs := vfs.NewFaultFS(nil)
+			if err := prev.Save(ffs, path); err != nil {
+				t.Fatal(err)
+			}
+			next := prev.Clone()
+			next.Version = 2
+			ffs.Arm(vfs.Fault{Op: op, Err: vfs.ErrIO, Count: 1})
+			if err := next.Save(ffs, path); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("Save with a %s fault = %v, want EIO", op, err)
+			}
+			if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+				t.Fatalf("failed Save left its temp file: %v", err)
+			}
+			got, err := Load(nil, path)
+			if err != nil {
+				t.Fatalf("previous manifest no longer loads: %v", err)
+			}
+			if !reflect.DeepEqual(got, prev) {
+				t.Fatalf("after the failed Save:\n got %+v\nwant %+v", got, prev)
+			}
+		})
 	}
 }
 

@@ -51,9 +51,10 @@ type Config struct {
 	// loop; required > 0 in open loop.
 	Rate float64
 	// Duration is the scheduling window. Closed loop stops issuing at the
-	// deadline; open loop schedules Rate×Duration arrivals and then
-	// drains them all (under the caller's ctx) even if the server has
-	// fallen behind — dropping the backlog would be coordinated omission.
+	// deadline and lets each worker's in-flight op finish; open loop
+	// schedules Rate×Duration arrivals and then drains them all. Both
+	// drain under the caller's ctx even if the server has fallen behind —
+	// dropping the backlog would be coordinated omission.
 	Duration time.Duration
 	// Classify maps an op error to its error-class label ("429",
 	// "transport", ...) for the per-class breakdown. nil classifies every
@@ -191,6 +192,10 @@ func Run(ctx context.Context, cfg Config, op func(context.Context) error) (*Resu
 }
 
 // runClosed drives Workers synchronous request loops until the deadline.
+// The deadline only stops new ops: an op in flight when it passes runs to
+// completion under the caller's ctx. Aborting it would drop exactly the
+// slowest ops, the ones most likely to straddle the deadline, and a phase
+// whose ops outlast the window would record no success at all.
 func runClosed(ctx context.Context, cfg Config, op func(context.Context) error, states []*workerState, g *gauge, classify func(error) string) error {
 	dctx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
@@ -202,12 +207,12 @@ func runClosed(ctx context.Context, cfg Config, op func(context.Context) error, 
 			for dctx.Err() == nil {
 				g.enter()
 				t0 := time.Now()
-				err := op(dctx)
+				err := op(ctx)
 				lat := time.Since(t0)
 				g.exit()
-				if err != nil && dctx.Err() != nil {
-					// The run deadline aborted this op mid-flight; it is
-					// an artifact of stopping, not a workload error.
+				if err != nil && ctx.Err() != nil {
+					// The caller canceled the run mid-op; that is an
+					// artifact of stopping, not a workload error.
 					return
 				}
 				st.record(lat, err, classify)

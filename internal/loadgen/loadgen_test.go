@@ -57,6 +57,60 @@ func TestClosedLoopMeasuresServiceTime(t *testing.T) {
 	}
 }
 
+// The closed loop stops issuing at the deadline; it does not abort the op
+// in flight. Every op here outlasts the window and honors its ctx, so an
+// abort at the deadline would record nothing.
+func TestClosedLoopFinishesInFlightOp(t *testing.T) {
+	const service = 100 * time.Millisecond
+	res, err := Run(context.Background(), Config{
+		Mode:     ModeClosed,
+		Workers:  2,
+		Duration: 20 * time.Millisecond,
+	}, func(ctx context.Context) error {
+		select {
+		case <-time.After(service):
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != 2 || res.Success() != 2 {
+		t.Fatalf("%d successes of %d requests, want both in-flight ops counted (errors %v)",
+			res.Success(), res.Requests, res.Errors)
+	}
+	if res.Elapsed < service {
+		t.Errorf("Elapsed %v ends before the in-flight ops completed", res.Elapsed)
+	}
+}
+
+// The caller's ctx still stops a closed loop mid-op: an op that only
+// returns on cancellation ends the run long before its window does.
+func TestClosedLoopHonorsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	res, err := Run(ctx, Config{
+		Mode:     ModeClosed,
+		Workers:  2,
+		Duration: 10 * time.Second,
+	}, func(ctx context.Context) error {
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("cancellation took %v", elapsed)
+	}
+	if res.Requests != 0 {
+		t.Fatalf("canceled ops recorded as %d requests (errors %v)", res.Requests, res.Errors)
+	}
+}
+
 func TestOpenLoopCompletesSchedule(t *testing.T) {
 	const rate, dur = 500.0, 400 * time.Millisecond
 	res, err := Run(context.Background(), Config{

@@ -29,8 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 )
 
 // Role is a server's position in the replication topology.
@@ -186,13 +184,8 @@ func (s *Server) notifyApplied() {
 // Follower-only; primaries reject it so a misrouted stream cannot fork
 // history.
 func (s *Server) ApplyReplicated(ctx context.Context, seq uint64, payload []byte) error {
-	if err := ctx.Err(); err != nil {
+	if err := s.acquireWriter(ctx); err != nil {
 		return err
-	}
-	select {
-	case s.wsem <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 	defer func() { <-s.wsem }()
 
@@ -205,15 +198,10 @@ func (s *Server) ApplyReplicated(ctx context.Context, seq uint64, payload []byte
 		return fmt.Errorf("serve: ApplyReplicated on a %s (followers only)", s.role)
 	case s.walErr != nil:
 		return fmt.Errorf("%w: %w earlier: %v", ErrDegraded, ErrWALFailed, s.walErr)
-	case seq != s.version+1:
-		return fmt.Errorf("%w: record %d cannot follow version %d", ErrReplSeq, seq, s.version)
 	}
 	var b Batch
-	if err := decodeBatch(payload, s.cfg.Dim, &b); err != nil {
-		return fmt.Errorf("serve: decoding replicated record %d: %w", seq, err)
-	}
-	if err := s.validate(&b); err != nil {
-		return fmt.Errorf("serve: replicated record %d: %w", seq, err)
+	if err := s.checkRecordLocked(seq, payload, &b); err != nil {
+		return err
 	}
 	if s.wal != nil {
 		got, err := s.wal.Append(payload)
@@ -240,18 +228,6 @@ func (s *Server) ApplyReplicated(ctx context.Context, seq uint64, payload []byte
 	return nil
 }
 
-// EncodeCheckpoint serializes the server's exact current state to memory,
-// byte-identical to a checkpoint file (CRC trailer included): the image a
-// primary ships to seed a follower whose position it has compacted past.
-// The returned version is the state's snapshot version.
-func (s *Server) EncodeCheckpoint() (version uint64, data []byte, err error) {
-	version, buf, err := s.encodeCheckpoint()
-	if err != nil {
-		return 0, nil, err
-	}
-	return version, appendCkptCRC(buf), nil
-}
-
 // InstallCheckpoint resets a follower to the exact state in a checkpoint
 // image produced by EncodeCheckpoint (equivalently: the bytes of a
 // checkpoint file). The image is CRC-verified and fully parsed into a
@@ -263,13 +239,8 @@ func (s *Server) EncodeCheckpoint() (version uint64, data []byte, err error) {
 // local log realigned past it — a restart recovers from it like any other
 // checkpoint.
 func (s *Server) InstallCheckpoint(ctx context.Context, raw []byte) error {
-	if err := ctx.Err(); err != nil {
+	if err := s.acquireWriter(ctx); err != nil {
 		return err
-	}
-	select {
-	case s.wsem <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 	defer func() { <-s.wsem }()
 	// Lock order: ckptMu before mu, matching Checkpoint — a background
@@ -310,13 +281,15 @@ func (s *Server) InstallCheckpoint(ctx context.Context, raw []byte) error {
 		if s.wal.NextSeq() > fresh.version+1 {
 			return fmt.Errorf("serve: local log already holds seq %d, cannot install checkpoint at version %d", s.wal.NextSeq()-1, fresh.version)
 		}
-		if err := s.persistCheckpointLocked(fresh.version, raw); err != nil {
+		oldest, err := s.publishCheckpoint(fresh.version, raw)
+		if err != nil {
 			return err
 		}
-		if s.wal.NextSeq() < fresh.version+1 {
-			if err := s.wal.SkipTo(fresh.version + 1); err != nil {
-				return err
-			}
+		if err := s.wal.TruncateBefore(oldest + 1); err != nil {
+			return err
+		}
+		if err := s.wal.SkipTo(fresh.version + 1); err != nil {
+			return err
 		}
 		s.sinceCkpt = 0
 	}
@@ -331,54 +304,6 @@ func (s *Server) InstallCheckpoint(ctx context.Context, raw []byte) error {
 	s.snap.Store(s.buildSnapshotLocked(nil, nil))
 	s.notifyApplied()
 	return nil
-}
-
-// persistCheckpointLocked writes a ready-made checkpoint image into the
-// durability directory (write, fsync, rename, directory fsync), applies
-// checkpoint retention, and compacts the log up to the oldest retained
-// checkpoint. Called under s.mu with s.ckptMu held.
-func (s *Server) persistCheckpointLocked(version uint64, buf []byte) error {
-	fs := s.walCfg.fs()
-	path := filepath.Join(s.walCfg.Dir, checkpointName(version))
-	tmp := path + ".tmp"
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("serve: creating checkpoint: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return fmt.Errorf("serve: writing checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return fmt.Errorf("serve: syncing checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return fmt.Errorf("serve: closing checkpoint: %w", err)
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return fmt.Errorf("serve: publishing checkpoint: %w", err)
-	}
-	if err := fs.SyncDir(s.walCfg.Dir); err != nil {
-		return fmt.Errorf("serve: syncing durability directory: %w", err)
-	}
-	s.lastCkpt.Store(version)
-
-	versions, err := checkpointVersions(fs, s.walCfg.Dir)
-	if err != nil {
-		return err
-	}
-	keep := min(len(versions), s.walCfg.keepCheckpoints())
-	for _, v := range versions[keep:] {
-		if err := fs.Remove(filepath.Join(s.walCfg.Dir, checkpointName(v))); err != nil {
-			return fmt.Errorf("serve: retiring old checkpoint: %w", err)
-		}
-	}
-	return s.wal.TruncateBefore(versions[keep-1] + 1)
 }
 
 // WALOldestSeq reports the oldest record sequence the server's log still

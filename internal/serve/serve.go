@@ -472,16 +472,8 @@ func (s *Server) ApplyBatch(b Batch) (*Snapshot, error) {
 // to completion, because abandoning a batch after its log append would
 // desync the log from memory.
 func (s *Server) ApplyBatchContext(ctx context.Context, b Batch) (*Snapshot, error) {
-	// Checked before the select: a context that is already expired (a 0
-	// deadline, a cancelled request) must fail deterministically rather
-	// than win a race against the free write slot.
-	if err := ctx.Err(); err != nil {
+	if err := s.acquireWriter(ctx); err != nil {
 		return nil, err
-	}
-	select {
-	case s.wsem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
 	defer func() { <-s.wsem }()
 
@@ -522,6 +514,23 @@ func (s *Server) ApplyBatchContext(ctx context.Context, b Batch) (*Snapshot, err
 	}
 	s.maybeCheckpointLocked()
 	return snap, nil
+}
+
+// acquireWriter takes the single write slot (wsem) for a writer, or
+// returns ctx.Err() if the context ends while it queues. The caller
+// releases the slot with <-s.wsem. An already-expired context (a 0
+// deadline, a cancelled request) fails deterministically rather than win
+// a race against a free slot.
+func (s *Server) acquireWriter(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	select {
+	case s.wsem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // degradeLocked moves the server to StateDegraded under mu: the cause
@@ -592,57 +601,9 @@ func (s *Server) recoverLocked() error {
 	// The old handle is poisoned (fail-stop after its first fault); its
 	// close error carries no new information.
 	_ = s.wal.Close()
-	log, err := wal.Open(s.walCfg.Dir, wal.Options{
-		SegmentBytes: s.walCfg.SegmentBytes,
-		SyncEvery:    s.walCfg.SyncEvery,
-		FS:           s.walCfg.FS,
-	})
-	if err != nil {
-		return fmt.Errorf("serve: reopening log: %w", err)
+	if err := s.reopenLogLocked(); err != nil {
+		return err
 	}
-	next, want := log.NextSeq(), s.version+1
-	switch {
-	case next < want && s.lastCkpt.Load() < s.version:
-		// The intact log prefix ends before the acknowledged version and no
-		// checkpoint bridges the gap — acked writes are lost. Failing here
-		// (instead of resuming) is the whole point of the acked-durability
-		// contract.
-		log.Close()
-		return fmt.Errorf("%w: log resumes at seq %d but version %d was acknowledged", ErrUnrecoverable, next, s.version)
-	case next > want:
-		// Records the faulty append wrote but never acknowledged: apply
-		// them, exactly as a crash restart would, so the log and the models
-		// agree again.
-		err := log.Replay(want, func(seq uint64, payload []byte) error {
-			var b Batch
-			if err := decodeBatch(payload, s.cfg.Dim, &b); err != nil {
-				return fmt.Errorf("serve: decoding log record %d: %w", seq, err)
-			}
-			if err := s.validate(&b); err != nil {
-				return fmt.Errorf("serve: catching up log record %d: %w", seq, err)
-			}
-			if s.version+1 != seq {
-				return fmt.Errorf("serve: log record %d cannot follow version %d", seq, s.version)
-			}
-			if _, err := s.applyLocked(&b); err != nil {
-				return fmt.Errorf("serve: catching up log record %d: %w", seq, err)
-			}
-			return nil
-		})
-		if err != nil {
-			log.Close()
-			return err
-		}
-	}
-	// A checkpoint newer than every surviving record (compaction, or an
-	// empty log) needs numbering resumed past it.
-	if log.NextSeq() < s.version+1 {
-		if err := log.SkipTo(s.version + 1); err != nil {
-			log.Close()
-			return err
-		}
-	}
-	s.wal = log
 	s.walErr = nil
 	s.degradedSince = time.Time{}
 	return nil

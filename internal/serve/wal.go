@@ -25,6 +25,14 @@ package serve
 //
 // Log record sequence numbers equal snapshot versions: record N is the
 // batch whose application published version N.
+//
+// Each durability step has one implementation. Files are published with
+// vfs.WriteFileAtomic and damaged checkpoints set aside with vfs.SetAside,
+// the rules the log and the cluster manifest follow too. publishCheckpoint
+// writes every checkpoint and applies retention, for Checkpoint and for a
+// follower's InstallCheckpoint alike; reopenLogLocked opens and replays
+// the log for both Open and Recover; and checkRecordLocked is the gate a
+// record passes before it applies, whether replayed or replicated.
 
 import (
 	"bytes"
@@ -34,7 +42,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -59,15 +66,6 @@ const (
 // ckptCRCTable checksums whole checkpoint files (Castagnoli, matching the
 // log's record CRCs).
 var ckptCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// appendCkptCRC appends the whole-image CRC trailer to an encoded
-// checkpoint body, yielding the exact bytes checkpoint files (and
-// replication checkpoint seeds) carry.
-func appendCkptCRC(buf []byte) []byte {
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(buf, ckptCRCTable))
-	return append(buf, crc[:]...)
-}
 
 // errCkptCorrupt marks a checkpoint whose BYTES are damaged (short file,
 // CRC mismatch, foreign magic/format). Only these are set aside so
@@ -170,45 +168,79 @@ func Open(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	log, err := wal.Open(w.Dir, wal.Options{SegmentBytes: w.SegmentBytes, SyncEvery: w.SyncEvery, FS: w.FS})
-	if err != nil {
+	s.walCfg = w
+	// The loaded checkpoint covers every version up to its own, so a log
+	// that ends at or before it lost nothing.
+	s.lastCkpt.Store(ckptVersion)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.reopenLogLocked(); err != nil {
 		return nil, err
 	}
-	err = log.Replay(ckptVersion+1, func(seq uint64, payload []byte) error {
+	return s, nil
+}
+
+// reopenLogLocked opens the log in the durability directory, replays every
+// record past the applied version into the models, and installs it as
+// s.wal, positioned to append the next version. Open runs it after loading
+// a checkpoint, Recover after a storage fault. A log that ends before the
+// applied version with no checkpoint covering the gap has lost
+// acknowledged writes: ErrUnrecoverable, and the models are left as they
+// were. Called under s.mu.
+func (s *Server) reopenLogLocked() error {
+	w := s.walCfg
+	log, err := wal.Open(w.Dir, wal.Options{SegmentBytes: w.SegmentBytes, SyncEvery: w.SyncEvery, FS: w.FS})
+	if err != nil {
+		return fmt.Errorf("serve: opening log: %w", err)
+	}
+	if next := log.NextSeq(); next <= s.version && s.lastCkpt.Load() < s.version {
+		// Failing here instead of resuming is the whole point of the
+		// acked-durability contract.
+		log.Close()
+		return fmt.Errorf("%w: log resumes at seq %d but version %d was acknowledged", ErrUnrecoverable, next, s.version)
+	}
+	// Records past the applied version were written but never applied (a
+	// crash restart's suffix, or the batch a faulty append wrote without
+	// acknowledging it); they apply exactly as they would have live.
+	err = log.Replay(s.version+1, func(seq uint64, payload []byte) error {
 		var b Batch
-		if err := decodeBatch(payload, s.cfg.Dim, &b); err != nil {
-			return fmt.Errorf("serve: decoding log record %d: %w", seq, err)
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if err := s.validate(&b); err != nil {
-			return fmt.Errorf("serve: replaying log record %d: %w", seq, err)
-		}
-		if s.version+1 != seq {
-			return fmt.Errorf("serve: log record %d cannot follow version %d (checkpoint and log disagree)", seq, s.version)
+		if err := s.checkRecordLocked(seq, payload, &b); err != nil {
+			return fmt.Errorf("serve: replaying the log: %w", err)
 		}
 		if _, err := s.applyLocked(&b); err != nil {
 			return fmt.Errorf("serve: replaying log record %d: %w", seq, err)
 		}
 		return nil
 	})
+	if err == nil {
+		// A checkpoint newer than every surviving record (compaction, or an
+		// empty log) needs numbering resumed past it.
+		err = log.SkipTo(s.version + 1)
+	}
 	if err != nil {
 		log.Close()
-		return nil, err
-	}
-	// Resume numbering after a checkpoint newer than every surviving log
-	// record (compaction dropped the whole suffix).
-	if next := s.version + 1; log.NextSeq() < next {
-		if err := log.SkipTo(next); err != nil {
-			log.Close()
-			return nil, err
-		}
+		return err
 	}
 	s.wal = log
-	s.walCfg = w
-	s.lastCkpt.Store(ckptVersion)
-	return s, nil
+	return nil
+}
+
+// checkRecordLocked is the gate every log record passes before it applies,
+// whether replayed from the local log or shipped by a primary: seq must
+// extend the applied version exactly (else ErrReplSeq), and the payload
+// must decode into dst and validate against the server's shape. Called
+// under s.mu.
+func (s *Server) checkRecordLocked(seq uint64, payload []byte, dst *Batch) error {
+	if seq != s.version+1 {
+		return fmt.Errorf("%w: record %d cannot follow version %d", ErrReplSeq, seq, s.version)
+	}
+	if err := decodeBatch(payload, s.cfg.Dim, dst); err != nil {
+		return fmt.Errorf("serve: decoding record %d: %w", seq, err)
+	}
+	if err := s.validate(dst); err != nil {
+		return fmt.Errorf("serve: record %d: %w", seq, err)
+	}
+	return nil
 }
 
 // checkpointName returns the checkpoint file name for a version.
@@ -227,7 +259,7 @@ func removeStaleCheckpointTmp(fs vfs.FS, dir string) error {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if !e.Type().IsRegular() || !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptExt+".tmp") {
+		if !e.Type().IsRegular() || !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptExt+vfs.TempSuffix) {
 			continue
 		}
 		if err := fs.Remove(filepath.Join(dir, name)); err != nil {
@@ -279,8 +311,10 @@ func loadLatestCheckpoint(cfg Config, fs vfs.FS, dir string) (*Server, uint64, e
 			return s, v, nil
 		case errors.Is(err, errCkptCorrupt):
 			// Damaged bytes: keep them for forensics, fall back to the
-			// next older checkpoint.
-			_ = fs.Rename(path, path+".corrupt")
+			// next older checkpoint. A failed set-aside is ignored because
+			// recovery falls back either way; the file stays in place and
+			// the next Open tries it again.
+			_ = vfs.SetAside(fs, path)
 		default:
 			// Shape/config mismatch or I/O fault — not corruption. Abort
 			// with the checkpoint set intact so a correctly-configured
@@ -386,12 +420,12 @@ func loadCheckpointBytes(s *Server, raw []byte) error {
 }
 
 // Checkpoint persists the server's exact current state to the durability
-// directory, makes it durable (write, fsync, rename, directory fsync) and
-// then compacts: log segments fully covered by the checkpoint are removed
-// and checkpoints beyond WALConfig.KeepCheckpoints retired. It returns the
-// checkpointed version. Serialization holds the writer lock only while
-// encoding to memory; the file I/O runs unlocked, so reads and writes keep
-// flowing. Safe for concurrent callers (checkpoints serialize internally).
+// directory (see publishCheckpoint) and then compacts the log up to the
+// oldest checkpoint kept. It returns the checkpointed version, or 0 with
+// the error when no checkpoint file was published. Serialization holds the
+// writer lock only while encoding to memory; the file I/O runs unlocked,
+// so reads and writes keep flowing. Safe for concurrent callers
+// (checkpoints serialize internally).
 func (s *Server) Checkpoint() (uint64, error) {
 	s.mu.Lock()
 	durable := s.wal != nil
@@ -413,63 +447,21 @@ func (s *Server) Checkpoint() (uint64, error) {
 		return version, nil
 	}
 
-	version, buf, err := s.encodeCheckpoint()
+	version, image, err := s.EncodeCheckpoint()
 	if err != nil {
 		return 0, err
 	}
-	buf = appendCkptCRC(buf)
-
-	fs := s.walCfg.fs()
-	path := filepath.Join(s.walCfg.Dir, checkpointName(version))
-	tmp := path + ".tmp"
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("serve: creating checkpoint: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return 0, fmt.Errorf("serve: writing checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return 0, fmt.Errorf("serve: syncing checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return 0, fmt.Errorf("serve: closing checkpoint: %w", err)
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return 0, fmt.Errorf("serve: publishing checkpoint: %w", err)
-	}
-	// The rename is not durable until the directory entry is — without
-	// this fsync a machine crash can resurrect the pre-rename state.
-	if err := fs.SyncDir(s.walCfg.Dir); err != nil {
-		return 0, fmt.Errorf("serve: syncing durability directory: %w", err)
-	}
-	s.lastCkpt.Store(version)
-
-	// Retire checkpoints beyond the retention count, then compact the log
-	// only up to the OLDEST retained checkpoint — the fallback checkpoints
-	// are worthless unless the records between them and the newest one
-	// stay replayable.
-	versions, err := checkpointVersions(fs, s.walCfg.Dir)
-	if err != nil {
+	oldest, err := s.publishCheckpoint(version, image)
+	switch {
+	case err != nil && s.lastCkpt.Load() < version:
+		return 0, err // nothing was published
+	case err != nil:
 		return version, err
 	}
-	keep := min(len(versions), s.walCfg.keepCheckpoints())
-	for _, v := range versions[keep:] {
-		if err := fs.Remove(filepath.Join(s.walCfg.Dir, checkpointName(v))); err != nil {
-			return version, fmt.Errorf("serve: retiring old checkpoint: %w", err)
-		}
-	}
-	oldestRetained := versions[keep-1] // versions is non-empty: we just wrote one
 	s.mu.Lock()
 	log := s.wal // recovery may have swapped the handle; compact the live one
 	s.mu.Unlock()
-	if err := log.TruncateBefore(oldestRetained + 1); err != nil {
+	if err := log.TruncateBefore(oldest + 1); err != nil {
 		return version, err
 	}
 	// A manual checkpoint restarts the background cadence — the next
@@ -480,9 +472,38 @@ func (s *Server) Checkpoint() (uint64, error) {
 	return version, nil
 }
 
-// encodeCheckpoint serializes the exact server state to memory under the
-// writer lock.
-func (s *Server) encodeCheckpoint() (uint64, []byte, error) {
+// publishCheckpoint makes a checkpoint image durable as the file for
+// version (vfs.WriteFileAtomic), records it in lastCkpt, retires the
+// checkpoints beyond WALConfig.KeepCheckpoints, and returns the oldest
+// version kept. Callers compact their log only up to that one: the
+// fallback checkpoints are worthless unless the records between them and
+// the newest stay replayable. lastCkpt advances only once the file is in
+// place. Called with s.ckptMu held.
+func (s *Server) publishCheckpoint(version uint64, image []byte) (oldestKept uint64, err error) {
+	fs := s.walCfg.fs()
+	if err := vfs.WriteFileAtomic(fs, filepath.Join(s.walCfg.Dir, checkpointName(version)), image); err != nil {
+		return 0, fmt.Errorf("serve: checkpoint: %w", err)
+	}
+	s.lastCkpt.Store(version)
+	versions, err := checkpointVersions(fs, s.walCfg.Dir)
+	if err != nil {
+		return 0, err
+	}
+	keep := min(len(versions), s.walCfg.keepCheckpoints())
+	for _, v := range versions[keep:] {
+		if err := fs.Remove(filepath.Join(s.walCfg.Dir, checkpointName(v))); err != nil {
+			return 0, fmt.Errorf("serve: retiring old checkpoint: %w", err)
+		}
+	}
+	return versions[keep-1], nil // non-empty: it lists the file just published
+}
+
+// EncodeCheckpoint serializes the server's exact current state to memory
+// under the writer lock: the bytes of a checkpoint file, CRC trailer
+// included, which is also the image a primary ships to seed a follower
+// whose position it has compacted past. The returned version is the
+// state's snapshot version.
+func (s *Server) EncodeCheckpoint() (version uint64, data []byte, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -525,7 +546,8 @@ func (s *Server) encodeCheckpoint() (uint64, []byte, error) {
 			return 0, nil, fmt.Errorf("serve: encoding cleanup-memory state: %w", err)
 		}
 	}
-	return s.version, buf.Bytes(), nil
+	crc := crc32.Checksum(buf.Bytes(), ckptCRCTable)
+	return s.version, binary.LittleEndian.AppendUint32(buf.Bytes(), crc), nil
 }
 
 // maybeCheckpointLocked spawns at most one background checkpoint once

@@ -405,6 +405,61 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	}
 }
 
+// TestCorruptCheckpointKeepsEarlierEvidence: setting a corrupt checkpoint
+// aside never overwrites the .corrupt file an earlier recovery left under
+// the same name; the new evidence takes the first free .corrupt.N.
+func TestCorruptCheckpointKeepsEarlierEvidence(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	cfg.WAL.CheckpointEvery = -1
+	src := rng.New(61)
+
+	s := mustOpen(t, cfg)
+	for i := 0; i < 5; i++ {
+		if _, err := s.ApplyBatch(randomBatch(cfg, src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	version, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, checkpointName(version))
+	earlier := []byte("evidence from an earlier recovery")
+	if err := os.WriteFile(path+".corrupt", earlier, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rotted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotted[len(rotted)/2] ^= 0x40
+	if err := os.WriteFile(path, rotted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The whole log is one tail segment, so recovery falls back to a full
+	// replay.
+	rec, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("recovery with a corrupt checkpoint failed: %v", err)
+	}
+	defer rec.Close()
+	if v := rec.Snapshot().Version(); v != version {
+		t.Fatalf("recovered version %d, want %d", v, version)
+	}
+	for name, want := range map[string][]byte{path + ".corrupt": earlier, path + ".corrupt.1": rotted} {
+		got, err := os.ReadFile(name)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes, %v; want the %d bytes set aside there", filepath.Base(name), len(got), err, len(want))
+		}
+	}
+}
+
 // TestMismatchedConfigPreservesCheckpoints: a restart with the wrong
 // shape must abort, NOT set the checkpoints aside as corrupt — operator
 // error may never destroy the recovery set.

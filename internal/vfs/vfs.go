@@ -1,10 +1,16 @@
 // Package vfs is the thin filesystem seam the durability layer sits on:
 // a small interface covering exactly the operations the write-ahead log
-// (internal/wal) and the checkpoint writer (internal/serve) perform, a
-// passthrough OS implementation, and a deterministic fault-injecting
-// implementation (FaultFS) that can return ENOSPC/EIO, cut writes short,
-// tear them (persist only a prefix), or stall them — by operation count,
-// by path pattern, by byte offset, or seeded-random.
+// (internal/wal), the checkpoint writer (internal/serve) and the cluster
+// manifest (internal/cluster) perform, a passthrough OS implementation,
+// and a deterministic fault-injecting implementation (FaultFS) that can
+// return ENOSPC/EIO, cut writes short, tear them (persist only a prefix),
+// or stall them — by operation count, by path pattern, by byte offset, or
+// seeded-random.
+//
+// The package also owns the two file protocols those layers share, so
+// each is written once: WriteFileAtomic publishes a whole file (temp
+// file, fsync, rename, directory fsync) and SetAside moves a damaged file
+// out of the way without overwriting earlier evidence.
 //
 // The seam exists so storage faults become testable: crash-consistency
 // results (ALICE-style torn/partial-write schedules) and fail-slow/
@@ -16,9 +22,11 @@
 package vfs
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // File is the subset of *os.File the durability layer writes through.
@@ -118,4 +126,65 @@ func ReadFile(fs FS, path string) ([]byte, error) {
 	}
 	defer f.Close()
 	return io.ReadAll(f)
+}
+
+// TempSuffix names the file WriteFileAtomic stages data in: path+TempSuffix.
+// Only the rename publishes it, so a leftover one holds nothing to recover.
+const TempSuffix = ".tmp"
+
+// WriteFileAtomic publishes data at path so a crash leaves either the old
+// file or the new one, never a mix: it writes path+TempSuffix, fsyncs and
+// closes it, renames it over path, then fsyncs the directory, without
+// which a machine crash can resurrect the pre-rename state. A failure
+// before the rename removes the temp file and leaves path as it was; a
+// directory-fsync failure is returned with the new file already in place.
+func WriteFileAtomic(fs FS, path string, data []byte) error {
+	tmp := path + TempSuffix
+	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("vfs: creating %s: %w", tmp, err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp, path)
+	}
+	if err != nil {
+		// Best effort: the failure above is the one to report, and the
+		// temp file is never read.
+		_ = fs.Remove(tmp)
+		return fmt.Errorf("vfs: publishing %s: %w", path, err)
+	}
+	if err := fs.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("vfs: syncing directory of %s: %w", path, err)
+	}
+	return nil
+}
+
+// SetAside renames a damaged file out of its reader's way, keeping the
+// bytes for forensics: to path+".corrupt", or to the first free
+// path+".corrupt.N" when earlier recoveries already left evidence there.
+// It never overwrites an existing file, so a Stat failure other than
+// not-exist is returned rather than guessed past.
+func SetAside(fs FS, path string) error {
+	dst := path + ".corrupt"
+	for i := 1; ; i++ {
+		_, err := fs.Stat(dst)
+		if errors.Is(err, os.ErrNotExist) {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("vfs: setting aside %s: %w", path, err)
+		}
+		dst = fmt.Sprintf("%s.corrupt.%d", path, i)
+	}
+	if err := fs.Rename(path, dst); err != nil {
+		return fmt.Errorf("vfs: setting aside %s: %w", path, err)
+	}
+	return nil
 }

@@ -249,3 +249,54 @@ func TestReadFault(t *testing.T) {
 		t.Fatalf("read after exhaustion: %q, %v", raw, err)
 	}
 }
+
+// TestWriteFileAtomicSyncDirFault: the directory fsync runs after the
+// rename, so its failure is reported with the new file already in place
+// and no temp file beside it.
+func TestWriteFileAtomicSyncDirFault(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.bin")
+	ffs := NewFaultFS(nil)
+	if err := WriteFileAtomic(ffs, path, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Arm(Fault{Op: OpSyncDir, Err: ErrIO, Count: 1})
+	if err := WriteFileAtomic(ffs, path, []byte("new")); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("WriteFileAtomic with a SyncDir fault = %v, want EIO", err)
+	}
+	raw, err := ReadFile(ffs, path)
+	if err != nil || string(raw) != "new" {
+		t.Fatalf("after the SyncDir fault: %q, %v; want the new file in place", raw, err)
+	}
+	if _, err := os.Stat(path + TempSuffix); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
+	}
+}
+
+// TestSetAsideNeverOverwrites: each set-aside takes the first free name,
+// so evidence from an earlier recovery survives, and a failed rename is
+// reported.
+func TestSetAsideNeverOverwrites(t *testing.T) {
+	dir := t.TempDir()
+	ffs := NewFaultFS(nil)
+	path := filepath.Join(dir, "seg")
+	for _, content := range []string{"first", "second", "third"} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := SetAside(ffs, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, want := range map[string]string{".corrupt": "first", ".corrupt.1": "second", ".corrupt.2": "third"} {
+		if raw, err := os.ReadFile(path + name); err != nil || string(raw) != want {
+			t.Errorf("%s = %q, %v; want %q", name, raw, err, want)
+		}
+	}
+	if err := os.WriteFile(path, []byte("fourth"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Arm(Fault{Op: OpRename, Err: ErrIO, Count: 1})
+	if err := SetAside(ffs, path); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("SetAside with a rename fault = %v, want EIO", err)
+	}
+}

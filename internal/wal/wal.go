@@ -25,7 +25,8 @@
 // accepts records until the first frame that is short, fails its CRC, or
 // breaks the sequence chain — everything from that point on is discarded:
 // the torn tail of the last segment is truncated in place, and any
-// later segment is set aside (renamed *.corrupt, never silently deleted).
+// later segment is set aside (vfs.SetAside: renamed *.corrupt, or
+// *.corrupt.N beside earlier evidence, never silently deleted).
 // A partial record is therefore never replayed, and what remains is
 // always a strict prefix of what was appended — exactly the property that
 // makes replay-into-a-deterministic-state-machine correct.
@@ -152,12 +153,12 @@ func Open(dir string, opts Options) (*Log, error) {
 				}
 				l.segs = append(l.segs, seg)
 				l.nextSeq = seg.firstSeq + seg.records
-			} else if err := setAside(fs, path); err != nil {
-				return nil, err
+			} else if err := vfs.SetAside(fs, path); err != nil {
+				return nil, fmt.Errorf("wal: corrupt segment: %w", err)
 			}
 			for _, later := range names[i+1:] {
-				if err := setAside(fs, filepath.Join(dir, later)); err != nil {
-					return nil, err
+				if err := vfs.SetAside(fs, filepath.Join(dir, later)); err != nil {
+					return nil, fmt.Errorf("wal: segment after corruption: %w", err)
 				}
 			}
 			break
@@ -209,23 +210,6 @@ func segmentName(firstSeq uint64) string {
 func seqFromName(name string) (uint64, error) {
 	body := strings.TrimSuffix(strings.TrimPrefix(name, segmentPrefix), segmentExt)
 	return strconv.ParseUint(body, 10, 64)
-}
-
-// setAside renames an unusable segment out of the scan set, preserving the
-// bytes for forensics instead of deleting data on the recovery path.
-func setAside(fs vfs.FS, path string) error {
-	dst := path + ".corrupt"
-	// Never clobber evidence from an earlier recovery.
-	for i := 1; ; i++ {
-		if _, err := fs.Stat(dst); os.IsNotExist(err) {
-			break
-		}
-		dst = fmt.Sprintf("%s.corrupt.%d", path, i)
-	}
-	if err := fs.Rename(path, dst); err != nil {
-		return fmt.Errorf("wal: setting aside corrupt segment: %w", err)
-	}
-	return nil
 }
 
 // scanSegment walks one segment validating every frame. It returns the

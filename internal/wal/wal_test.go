@@ -2,11 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"hdcirc/internal/vfs"
 )
@@ -253,6 +256,39 @@ func TestCorruptMiddleSegmentSetsAsideSuffix(t *testing.T) {
 	}
 	if aside == 0 {
 		t.Error("corrupt suffix segments were not set aside")
+	}
+}
+
+// statFailFS is the real filesystem with a failing Stat.
+type statFailFS struct{ vfs.OS }
+
+func (statFailFS) Stat(path string) (os.FileInfo, error) {
+	return nil, &os.PathError{Op: "stat", Path: path, Err: syscall.EIO}
+}
+
+// TestSetAsideStatFaultFailsOpen: recovery that must set a segment aside
+// but cannot Stat the names it would move it to returns the fault instead
+// of probing names forever.
+func TestSetAsideStatFaultFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), []byte("not a segment header"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		l, err := Open(dir, Options{FS: statFailFS{}})
+		if err == nil {
+			l.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, syscall.EIO) {
+			t.Fatalf("Open with a failing Stat = %v, want EIO", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Open still running after 5s: setting the segment aside loops on the failing Stat")
 	}
 }
 
