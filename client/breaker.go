@@ -58,7 +58,10 @@ func (b *breaker) allow(ctx context.Context, c *Client, base string) error {
 	b.probing = true
 	b.mu.Unlock()
 
-	healthy := c.probeWritePlane(ctx, base)
+	// One attempt, no retries: the point of the half-open state is a
+	// cheap, decisive answer from this endpoint's write plane.
+	_, err := c.roundTrip(ctx, http.MethodGet, base+"/v1/healthz?plane=write", nil, nil)
+	healthy := err == nil
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -104,20 +107,4 @@ func (b *breaker) success() {
 // node cannot admit writes until an operator promotes it or re-points it.
 func writePlaneFault(err *Error) bool {
 	return err != nil && (err.Code == CodeReadOnly || err.Code == CodeUnavailable || err.Code == CodeFollowerReadOnly)
-}
-
-// probeWritePlane asks one endpoint's healthz about the write plane
-// specifically: one attempt, no retries — the point of the half-open
-// state is a cheap, decisive answer.
-func (c *Client) probeWritePlane(ctx context.Context, base string) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/healthz?plane=write", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return false
-	}
-	drain(resp)
-	return resp.StatusCode == http.StatusOK
 }

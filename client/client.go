@@ -39,24 +39,47 @@
 //
 // # Retries
 //
-// Overload rejections (429) are always retried — the server guarantees a
-// rejected request was never admitted, so retrying cannot double-apply —
-// honoring the server's Retry-After hint exactly when one is present.
-// Transport faults and 5xx responses are retried only for read-plane
-// calls (predict, lookup, stats, health, snapshot); a train batch that
-// died mid-flight MAY have been applied, and blind replay would
-// double-train, so write-plane calls surface those faults to the caller.
-// Streams are never retried. WithRetryBudget caps the total backoff time
-// per call; WithCallTimeout bounds each call end to end.
+// Every call makes its attempts through one loop: at most WithRetry
+// attempts, with at most WithRetryBudget of backoff sleep between them. A
+// backoff is the server's Retry-After hint when the last answer carried
+// one, and exponential from the WithRetry base otherwise. The call's kind
+// and the answer's HTTP status decide the next step; an error page that is
+// not the protocol's envelope (a proxy's, say) is judged by its status too,
+// and surfaces as an *Error with code internal.
+//
+//	answer                             read       write       ingest open
+//	200                                done       done        done
+//	429 overloaded                     backoff    backoff     backoff
+//	503 read_only, unavailable or      next node  fail        backoff
+//	    follower_read_only
+//	other 5xx, or no answer at all     next node  fail        fail
+//	421 not_primary with a new hint    adopt      adopt       adopt
+//	anything else                      fail       fail        fail
+//
+// Reads are the unary reads (Predict, Scores, Cleanup, RouteKey,
+// HasSymbol, Cluster, Stats, Health), Snapshot, and opening a
+// PredictStream. Each attempt goes to the next read-preference candidate;
+// "next node" tries it at once while an untried one remains, and after a
+// backoff once none does. Writes (Train, Promote) and ingest opens go to
+// the current primary. A 429 was never admitted, so replaying it cannot
+// double-apply; a write that died on a 5xx or mid-flight may have been
+// applied, so it is not replayed. A stream open withholds its rows until
+// the server accepts it (Expect: 100-continue): a refused ingest open sent
+// nothing, so its write-plane 503s retry as well.
+// "Adopt" makes the hinted node the primary and retries at once; a
+// not_primary without a new hint fails. An established stream is never
+// retried: its acks tell the caller how far the server got.
+// WithCallTimeout bounds each unary call, all its attempts included.
 //
 // # Degraded servers and the circuit breaker
 //
 // A server whose write-ahead log failed degrades to read-only: reads keep
 // working, writes answer 503 with code read_only and a Retry-After hint.
 // The client's circuit breaker (WithCircuitBreaker; on by default) counts
-// those consecutive write-plane 503s and, past the threshold, fails
-// writes fast with ErrCircuitOpen instead of dialing a server that cannot
-// accept them. After the cooldown the next write probes GET /v1/healthz
+// those consecutive write-plane 503s on writes and ingest opens and, past
+// the threshold, fails them fast with ErrCircuitOpen instead of dialing a
+// server that cannot accept them; any write the server accepts resets the
+// count. After the cooldown the next write probes GET /v1/healthz
 // ?plane=write — recovered server, circuit closes; still degraded,
 // another cooldown. Reads never pass through the breaker.
 package client
@@ -282,7 +305,7 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 // overload rejections are retried.
 func (c *Client) Train(ctx context.Context, req TrainRequest) (*TrainResponse, error) {
 	var out TrainResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/train", req, &out, false); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/train", req, &out, writeCall); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -292,7 +315,7 @@ func (c *Client) Train(ctx context.Context, req TrainRequest) (*TrainResponse, e
 // server snapshot. Fully retryable.
 func (c *Client) Predict(ctx context.Context, queries [][]float64) (*PredictResponse, error) {
 	var out PredictResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/predict", httpapi.PredictRequest{Queries: queries}, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/predict", httpapi.PredictRequest{Queries: queries}, &out, readCall); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -312,7 +335,7 @@ func (c *Client) PredictOne(ctx context.Context, features []float64) (class int,
 func (c *Client) RouteKey(ctx context.Context, key string) (*LookupResponse, error) {
 	var out LookupResponse
 	path := "/v1/lookup?key=" + url.QueryEscape(key)
-	if err := c.do(ctx, http.MethodGet, path, nil, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodGet, path, nil, &out, readCall); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -322,7 +345,7 @@ func (c *Client) RouteKey(ctx context.Context, key string) (*LookupResponse, err
 func (c *Client) HasSymbol(ctx context.Context, symbol string) (found bool, version uint64, err error) {
 	var out LookupResponse
 	path := "/v1/lookup?symbol=" + url.QueryEscape(symbol)
-	if err := c.do(ctx, http.MethodGet, path, nil, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodGet, path, nil, &out, readCall); err != nil {
 		return false, 0, err
 	}
 	return out.Found != nil && *out.Found, out.Version, nil
@@ -332,7 +355,7 @@ func (c *Client) HasSymbol(ctx context.Context, symbol string) (found bool, vers
 // symbol most similar to its encoding, with the similarity.
 func (c *Client) Cleanup(ctx context.Context, features []float64) (*LookupResponse, error) {
 	var out LookupResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/lookup", httpapi.LookupRequest{Features: features}, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/lookup", httpapi.LookupRequest{Features: features}, &out, readCall); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -345,7 +368,7 @@ func (c *Client) Cleanup(ctx context.Context, features []float64) (*LookupRespon
 // preference.
 func (c *Client) Scores(ctx context.Context, queries [][]float64) (*ScoresResponse, error) {
 	var out ScoresResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/scores", httpapi.ScoresRequest{Queries: queries}, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/scores", httpapi.ScoresRequest{Queries: queries}, &out, readCall); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -356,7 +379,7 @@ func (c *Client) Scores(ctx context.Context, queries [][]float64) (*ScoresRespon
 // outside a sharded cluster answers not_found.
 func (c *Client) Cluster(ctx context.Context) (*ClusterResponse, error) {
 	var out ClusterResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/cluster", nil, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/cluster", nil, &out, readCall); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -370,7 +393,7 @@ func (c *Client) Cluster(ctx context.Context) (*ClusterResponse, error) {
 // making sure the old primary is dead or demoted first.
 func (c *Client) Promote(ctx context.Context) (*PromoteResponse, error) {
 	var out PromoteResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/admin/promote", nil, &out, false); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/admin/promote", nil, &out, writeCall); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -380,7 +403,7 @@ func (c *Client) Promote(ctx context.Context) (*PromoteResponse, error) {
 // (WAL sequence, checkpoint version, segment count, sticky error state).
 func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
 	var out StatsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &out, readCall); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -389,7 +412,7 @@ func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
 // Health probes liveness and returns the current snapshot version.
 func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 	var out HealthResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, &out, readCall); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -397,100 +420,142 @@ func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 
 // Snapshot streams the server's binary snapshot into w and returns the
 // snapshot version. The bytes warm-start a replacement server (hdcserve
-// -load, or Server.Restore). Routed per the read preference, and retried
-// with the same backoff machinery as the unary reads — honoring the
-// server's Retry-After hint on 503 (a degraded or still-catching-up
-// node) — but only until the first body byte reaches w: a partially
-// copied image cannot be replayed into the same writer.
+// -load, or Server.Restore). A read, routed per the read preference and
+// retried like the unary reads, but only until the first body byte reaches
+// w: a partially copied image cannot be replayed into the same writer.
 func (c *Client) Snapshot(ctx context.Context, w io.Writer) (version uint64, err error) {
-	candidates := c.readCandidates(ctx)
-	var (
-		lastErr   error
-		slept     time.Duration
-		skipSleep bool
-	)
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
-		if attempt > 0 && !skipSleep {
-			d := c.backoff(lastErr, attempt)
-			if c.retryBudget > 0 && slept+d > c.retryBudget {
-				return 0, fmt.Errorf("client: snapshot: retry budget %v exhausted after %d attempts: %w", c.retryBudget, attempt, lastErr)
-			}
-			if err := sleepCtx(ctx, d); err != nil {
-				return 0, err
-			}
-			slept += d
-		}
-		skipSleep = false
-		ep := candidates[attempt%len(candidates)]
+	err = c.call(ctx, readCall, "/v1/snapshot", func(ctx context.Context, ep *endpoint) (int, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ep.base+"/v1/snapshot", nil)
 		if err != nil {
 			return 0, err
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			if ctx.Err() != nil {
-				return 0, ctx.Err()
-			}
-			lastErr = fmt.Errorf("client: snapshot: %w", err)
-			skipSleep = attempt+1 < len(candidates)
-			continue
+			return 0, fmt.Errorf("client: snapshot: %w", err)
 		}
+		defer drain(resp)
 		if resp.StatusCode != http.StatusOK {
-			apiErr := decodeErrorBody(resp)
-			drain(resp)
-			var e *Error
-			if errors.As(apiErr, &e) && e.Code == CodeNotPrimary && e.PrimaryURL != "" && c.adoptPrimary(e.PrimaryURL) {
-				candidates = c.readCandidates(ctx)
-				lastErr, skipSleep = apiErr, true
-				continue
-			}
-			if !retryable(apiErr, resp.StatusCode, true) {
-				return 0, apiErr
-			}
-			lastErr = apiErr
-			continue
+			return resp.StatusCode, decodeErrorBody(resp)
 		}
-		version, err = strconv.ParseUint(resp.Header.Get("X-Snapshot-Version"), 10, 64)
-		if err != nil {
-			drain(resp)
-			return 0, fmt.Errorf("client: snapshot: bad X-Snapshot-Version header: %w", err)
+		if version, err = strconv.ParseUint(resp.Header.Get("X-Snapshot-Version"), 10, 64); err != nil {
+			return resp.StatusCode, fmt.Errorf("client: snapshot: bad X-Snapshot-Version header: %w", err)
 		}
 		n, err := io.Copy(w, resp.Body)
-		drain(resp)
-		if err == nil {
-			return version, nil
+		switch {
+		case err == nil:
+			return resp.StatusCode, nil
+		case n > 0:
+			return resp.StatusCode, fmt.Errorf("client: snapshot: reading body after %d bytes: %w", n, err)
 		}
-		if n > 0 {
-			return 0, fmt.Errorf("client: snapshot: reading body after %d bytes: %w", n, err)
-		}
-		if ctx.Err() != nil {
-			return 0, ctx.Err()
-		}
-		lastErr = fmt.Errorf("client: snapshot: reading body: %w", err)
-		skipSleep = attempt+1 < len(candidates)
+		// Nothing reached w: as retryable as a connection that died.
+		return 0, fmt.Errorf("client: snapshot: reading body: %w", err)
+	})
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("client: snapshot: giving up after %d attempts: %w", c.maxAttempts, lastErr)
+	return version, nil
 }
 
 // ---------------------------------------------------------------------------
-// Transport core: one bounded-retry JSON round trip
+// Transport core: one attempt loop, one JSON round trip
 // ---------------------------------------------------------------------------
 
-// do runs one unary call: marshal once, attempt up to the retry budget,
-// decode the response (or its error envelope). idempotent gates whether
-// transport faults and 5xx responses are retried; 429 always is.
-//
-// Routing: reads walk the read-preference candidate list — a failed
-// attempt moves straight to the next untried endpoint without a backoff
-// sleep (the fault was that node's, not the tier's) — while writes
-// re-resolve the current primary every attempt and pass through ITS
-// circuit breaker: open circuit means ErrCircuitOpen without a request,
-// and every structured write-plane 503 feeds that endpoint's counter.
-// A not_primary refusal with a redirect hint (this node was demoted, or
-// never was the primary) makes the client adopt the hinted primary and
-// retry immediately — the refused request was never admitted, so replay
-// cannot double-apply.
-func (c *Client) do(ctx context.Context, method, path string, in, out any, idempotent bool) error {
+// callKind tells the attempt loop where a call goes and what it may retry
+// (the table in the package comment).
+type callKind uint8
+
+const (
+	readCall  callKind = iota // walks the read-preference candidates
+	writeCall                 // the current primary, through its breaker
+	openCall                  // an ingest open: a write whose write-plane 503s retry
+)
+
+// attemptFunc makes one attempt at a call against ep. On failure status is
+// the HTTP status ep answered with, or 0 when no answer arrived.
+type attemptFunc func(ctx context.Context, ep *endpoint) (status int, err error)
+
+// call runs one call's attempts. It owns everything between them: the
+// endpoint of each attempt, the primary's breaker, not_primary adoption,
+// the retry decision, and the backoff sleep within the retry budget. path
+// names the call in the errors it gives up with.
+func (c *Client) call(ctx context.Context, kind callKind, path string, attempt attemptFunc) error {
+	var candidates []*endpoint
+	if kind == readCall {
+		candidates = c.readCandidates(ctx)
+	}
+	var (
+		lastErr error
+		slept   time.Duration
+		sleep   bool // back off before the next attempt
+	)
+	for n := 0; n < c.maxAttempts; n++ {
+		if sleep {
+			d := c.backoff(lastErr, n)
+			if c.retryBudget > 0 && slept+d > c.retryBudget {
+				return fmt.Errorf("client: %s: retry budget %v exhausted after %d attempts: %w", path, c.retryBudget, n, lastErr)
+			}
+			if err := sleepCtx(ctx, d); err != nil {
+				return err
+			}
+			slept += d
+		}
+		var ep *endpoint
+		if kind == readCall {
+			ep = candidates[n%len(candidates)]
+		} else {
+			ep = c.primaryEndpoint()
+			if err := ep.br.allow(ctx, c, ep.base); err != nil {
+				return err
+			}
+		}
+		status, err := attempt(ctx, ep)
+		if err == nil {
+			if kind != readCall {
+				ep.br.success()
+			}
+			return nil
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		lastErr = err
+		var e *Error
+		errors.As(err, &e) // e stays nil unless the node answered with an *Error
+		// Transport faults never feed the breaker: a dead connection says
+		// nothing about the write plane's health.
+		if kind != readCall && writePlaneFault(e) {
+			ep.br.failure()
+		}
+		switch {
+		case e != nil && e.Code == CodeNotPrimary:
+			// The refused request was never admitted, so it goes straight
+			// to the hinted primary; no hint, or one already adopted,
+			// leaves nothing to try.
+			if e.PrimaryURL == "" || !c.adoptPrimary(e.PrimaryURL) {
+				return err
+			}
+			if kind == readCall {
+				candidates = c.readCandidates(ctx)
+			}
+			sleep = false
+		case status == http.StatusTooManyRequests:
+			sleep = true // rejected before admission: replay cannot double-apply
+		case kind == readCall && (status == 0 || status >= 500):
+			// This node is unhealthy; the next candidate may not be.
+			sleep = n+1 >= len(candidates)
+		case kind == openCall && writePlaneFault(e):
+			sleep = true // a refused open sent no row
+		default:
+			return err
+		}
+	}
+	return fmt.Errorf("client: %s: giving up after %d attempts: %w", path, c.maxAttempts, lastErr)
+}
+
+// do runs one unary call: it marshals in once and makes each attempt a
+// roundTrip, under the WithCallTimeout deadline. Only unary reads feed
+// the endpoint's latency average.
+func (c *Client) do(ctx context.Context, method, path string, in, out any, kind callKind) error {
 	if c.callTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.callTimeout)
@@ -503,106 +568,42 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, idemp
 			return fmt.Errorf("client: encoding request: %w", err)
 		}
 	}
-	var candidates []*endpoint
-	if idempotent {
-		candidates = c.readCandidates(ctx)
-	}
-	var (
-		lastErr   error
-		slept     time.Duration
-		skipSleep bool
-	)
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
-		if attempt > 0 && !skipSleep {
-			d := c.backoff(lastErr, attempt)
-			if c.retryBudget > 0 && slept+d > c.retryBudget {
-				return fmt.Errorf("client: retry budget %v exhausted after %d attempts: %w", c.retryBudget, attempt, lastErr)
-			}
-			if err := sleepCtx(ctx, d); err != nil {
-				return err
-			}
-			slept += d
-		}
-		skipSleep = false
-		var ep *endpoint
-		if idempotent {
-			ep = candidates[attempt%len(candidates)]
-		} else {
-			ep = c.primaryEndpoint()
-			if err := ep.br.allow(ctx, c, ep.base); err != nil {
-				return err
-			}
-		}
-		req, err := http.NewRequestWithContext(ctx, method, ep.base+path, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		if in != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
+	return c.call(ctx, kind, path, func(ctx context.Context, ep *endpoint) (int, error) {
 		start := time.Now()
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			// Transport faults never feed the breaker: a dead connection
-			// says nothing about the write plane's health.
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			lastErr = fmt.Errorf("client: %s %s: %w", method, path, err)
-			if !idempotent {
-				return lastErr
-			}
-			skipSleep = attempt+1 < len(candidates)
-			continue
+		status, err := c.roundTrip(ctx, method, ep.base+path, body, out)
+		if err == nil && kind == readCall {
+			ep.observeRTT(time.Since(start))
 		}
-		if resp.StatusCode == http.StatusOK {
-			err := json.NewDecoder(resp.Body).Decode(out)
-			drain(resp)
-			if err != nil {
-				return fmt.Errorf("client: decoding %s response: %w", path, err)
-			}
-			if idempotent {
-				ep.observeRTT(time.Since(start))
-			} else {
-				ep.br.success()
-			}
-			return nil
-		}
-		apiErr := decodeErrorBody(resp)
-		drain(resp)
-		var e *Error
-		isEnvelope := errors.As(apiErr, &e)
-		if !idempotent && isEnvelope && writePlaneFault(e) {
-			ep.br.failure()
-		}
-		if isEnvelope && e.Code == CodeNotPrimary {
-			if e.PrimaryURL != "" && c.adoptPrimary(e.PrimaryURL) {
-				if idempotent {
-					candidates = c.readCandidates(ctx)
-				}
-				lastErr, skipSleep = apiErr, true
-				continue
-			}
-			return apiErr // no hint, or already pointed there: nothing to adopt
-		}
-		if !retryable(apiErr, resp.StatusCode, idempotent) {
-			return apiErr
-		}
-		lastErr = apiErr
-		if idempotent && resp.StatusCode >= 500 {
-			// This node is unhealthy; the next candidate may not be.
-			skipSleep = attempt+1 < len(candidates)
-		}
-	}
-	return fmt.Errorf("client: giving up after %d attempts: %w", c.maxAttempts, lastErr)
+		return status, err
+	})
 }
 
-// retryable decides whether a server response is worth another attempt.
-func retryable(err error, status int, idempotent bool) bool {
-	if status == http.StatusTooManyRequests {
-		return true // rejected before admission: replay cannot double-apply
+// roundTrip makes one JSON request and decodes a 200 answer into out (nil
+// discards it). It returns the answer's HTTP status, 0 when none arrived,
+// and the fault: the transport error, the answer's error envelope, or a
+// failed decode. It is do's attempt, and the lag and write-plane probes.
+func (c *Client) roundTrip(ctx context.Context, method, target string, body []byte, out any) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, method, target, bytes.NewReader(body))
+	if err != nil {
+		return 0, err
 	}
-	return idempotent && status >= 500
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return 0, fmt.Errorf("client: %w", err) // a *url.Error: it names method and URL
+	}
+	defer drain(resp)
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, decodeErrorBody(resp)
+	}
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return resp.StatusCode, fmt.Errorf("client: decoding %s response: %w", target, err)
+		}
+	}
+	return resp.StatusCode, nil
 }
 
 // backoff picks the delay before retry number attempt: the server's
@@ -649,16 +650,6 @@ func decodeErrorBody(resp *http.Response) error {
 		Code:    CodeInternal,
 		Message: fmt.Sprintf("HTTP %d with non-envelope body: %.200s", resp.StatusCode, raw),
 	}
-}
-
-// decodeJSONBody decodes a 200 response body into out (or returns the
-// error envelope), draining the connection either way.
-func decodeJSONBody(resp *http.Response, out any) error {
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return decodeErrorBody(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // drain discards any unread body so the connection returns to the pool.

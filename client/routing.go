@@ -109,7 +109,7 @@ func (ep *endpoint) readRTT() time.Duration {
 // observation with a direct stats probe when it is older than lagTTL.
 // ok=false means the lag is unknowable right now (probe failed) and the
 // endpoint should not be trusted for bounded-staleness reads.
-func (ep *endpoint) freshLag(ctx context.Context, hc *http.Client) (lag uint64, ok bool) {
+func (ep *endpoint) freshLag(ctx context.Context, c *Client) (lag uint64, ok bool) {
 	ep.mu.Lock()
 	if ep.lagKnown && time.Since(ep.lagAt) < lagTTL {
 		lag = ep.lag
@@ -120,20 +120,10 @@ func (ep *endpoint) freshLag(ctx context.Context, hc *http.Client) (lag uint64, 
 
 	pctx, cancel := context.WithTimeout(ctx, 250*time.Millisecond)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, ep.base+"/v1/stats", nil)
-	if err != nil {
-		return 0, false
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return 0, false
-	}
 	var st StatsResponse
-	err = decodeJSONBody(resp, &st)
-	if err != nil {
+	if _, err := c.roundTrip(pctx, http.MethodGet, ep.base+"/v1/stats", nil, &st); err != nil {
 		return 0, false
 	}
-	lag = 0
 	if st.Replication != nil {
 		lag = st.Replication.FollowerLagSeq
 	}
@@ -200,33 +190,24 @@ func (c *Client) readCandidates(ctx context.Context) []*endpoint {
 	if len(reps) == 0 || c.pref.kind == prefPrimary {
 		return []*endpoint{primary}
 	}
-	switch c.pref.kind {
-	case prefNearest:
-		// Unmeasured endpoints sort first: the only way to learn their
-		// latency is to use them.
-		sort.SliceStable(reps, func(i, j int) bool {
-			ri, rj := reps[i].readRTT(), reps[j].readRTT()
-			if (ri == 0) != (rj == 0) {
-				return ri == 0
-			}
-			return ri < rj
-		})
-	case prefBounded:
-		within := make([]*endpoint, 0, len(reps))
+	if c.pref.kind == prefBounded {
+		within := reps[:0]
 		for _, ep := range reps {
-			if lag, ok := ep.freshLag(ctx, c.hc); ok && lag <= c.pref.maxLag {
+			if lag, ok := ep.freshLag(ctx, c); ok && lag <= c.pref.maxLag {
 				within = append(within, ep)
 			}
 		}
-		sort.SliceStable(within, func(i, j int) bool {
-			ri, rj := within[i].readRTT(), within[j].readRTT()
-			if (ri == 0) != (rj == 0) {
-				return ri == 0
-			}
-			return ri < rj
-		})
 		reps = within
 	}
+	// Unmeasured endpoints sort first: the only way to learn their latency
+	// is to use them.
+	sort.SliceStable(reps, func(i, j int) bool {
+		ri, rj := reps[i].readRTT(), reps[j].readRTT()
+		if (ri == 0) != (rj == 0) {
+			return ri == 0
+		}
+		return ri < rj
+	})
 	return append(reps, primary)
 }
 

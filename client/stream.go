@@ -15,17 +15,16 @@ package client
 // it, so an open-time refusal (429 overloaded, 503 read_only /
 // follower_read_only, 421 not_primary) arrives with zero rows sent,
 // which makes retrying the OPEN safe. Ingest and PredictStream therefore
-// retry refused opens through the same backoff machinery as unary calls
-// (honoring Retry-After, following not_primary redirects). An ESTABLISHED
-// stream is still never retried: a broken ingest stream may be partially
-// applied, and the per-batch acks tell the caller exactly how far the
-// server got (resume from the first unacknowledged row).
+// make each open attempt through the client's one attempt loop (see the
+// package comment for what it retries). An ESTABLISHED stream is still
+// never retried: a broken ingest stream may be partially applied, and the
+// per-batch acks tell the caller exactly how far the server got (resume
+// from the first unacknowledged row).
 
 import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -44,6 +43,7 @@ type stream struct {
 	sent  int
 
 	respDone chan struct{}
+	status   int // the answer's HTTP status; read only once respDone is closed
 	mu       sync.Mutex
 	err      error // first fault from either direction; sticky
 }
@@ -51,14 +51,15 @@ type stream struct {
 // startStream opens the request against one endpoint, performs the
 // 100-continue open handshake, and spawns the response consumer. A
 // non-nil error means the server refused the stream before reading any
-// row (or the dial itself failed) — the caller may safely retry against
-// the same or another endpoint.
-func (c *Client) startStream(ctx context.Context, base, path string, consume func(*json.Decoder) error) (*stream, error) {
+// row (status is its answer's HTTP status) or no answer arrived (status
+// 0) — either way the caller may safely retry against the same or another
+// endpoint.
+func (c *Client) startStream(ctx context.Context, base, path string, consume func(*json.Decoder) error) (s *stream, status int, err error) {
 	pr, pw := io.Pipe()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, pr)
 	if err != nil {
 		pw.Close()
-		return nil, err
+		return nil, 0, err
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
 	req.Header.Set("Expect", "100-continue")
@@ -68,7 +69,7 @@ func (c *Client) startStream(ctx context.Context, base, path string, consume fun
 		Got100Continue: func() { acceptOnce.Do(func() { close(accepted) }) },
 	}
 	req = req.WithContext(httptrace.WithClientTrace(req.Context(), trace))
-	s := &stream{
+	s = &stream{
 		ctx:      ctx,
 		pw:       pw,
 		bw:       bufio.NewWriterSize(pw, 64<<10),
@@ -84,6 +85,7 @@ func (c *Client) startStream(ctx context.Context, base, path string, consume fun
 			return
 		}
 		defer drain(resp)
+		s.status = resp.StatusCode
 		if resp.StatusCode != http.StatusOK {
 			s.fail(decodeErrorBody(resp))
 			return
@@ -104,14 +106,14 @@ func (c *Client) startStream(ctx context.Context, base, path string, consume fun
 	case <-timer.C:
 	case <-s.respDone:
 		if err := s.asyncErr(); err != nil {
-			return nil, err
+			return nil, s.status, err
 		}
 	case <-ctx.Done():
 		s.fail(ctx.Err())
 		<-s.respDone
-		return nil, ctx.Err()
+		return nil, 0, ctx.Err()
 	}
-	return s, nil
+	return s, 0, nil
 }
 
 // fail records the first fault and unblocks any Send stuck on the pipe.
@@ -187,95 +189,44 @@ type IngestStream struct {
 // coalesced server-side into write batches (one snapshot publication per
 // batch, not per row), each acknowledged as it lands; Close returns the
 // final summary. A refused OPEN (zero rows sent, guaranteed by the
-// 100-continue handshake) is retried with backoff — honoring Retry-After
-// on 503 from a degraded or follower node, following not_primary
-// redirects after a failover — while an established stream that breaks is
-// never replayed.
+// 100-continue handshake) is retried like a write, and its write-plane
+// 503s too (a degraded or follower node), while an established stream
+// that breaks is never replayed.
 func (c *Client) Ingest(ctx context.Context) (*IngestStream, error) {
-	var (
-		lastErr   error
-		slept     time.Duration
-		skipSleep bool
-	)
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
-		if attempt > 0 && !skipSleep {
-			d := c.backoff(lastErr, attempt)
-			if c.retryBudget > 0 && slept+d > c.retryBudget {
-				return nil, fmt.Errorf("client: ingest: retry budget %v exhausted after %d attempts: %w", c.retryBudget, attempt, lastErr)
-			}
-			if err := sleepCtx(ctx, d); err != nil {
-				return nil, err
-			}
-			slept += d
-		}
-		skipSleep = false
-		ep := c.primaryEndpoint()
-		// The write-plane breaker gates stream opens too: a degraded server
-		// will 503 every coalesced batch, so don't even dial while it's open.
-		if err := ep.br.allow(ctx, c, ep.base); err != nil {
-			return nil, err
-		}
-		is, err := c.openIngest(ctx, ep.base)
-		if err == nil {
-			return is, nil
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		var e *Error
-		if !errors.As(err, &e) {
-			// Transport fault on open: like unary writes, surface it — the
-			// dial itself failing says nothing a blind retry would fix.
-			return nil, err
-		}
-		if writePlaneFault(e) {
-			ep.br.failure()
-		}
-		if e.Code == CodeNotPrimary {
-			if e.PrimaryURL != "" && c.adoptPrimary(e.PrimaryURL) {
-				lastErr, skipSleep = err, true
-				continue
-			}
-			return nil, err
-		}
-		if !retryable(e, e.HTTPStatus(), false) && !writePlaneFault(e) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("client: ingest: giving up after %d attempts: %w", c.maxAttempts, lastErr)
-}
-
-// openIngest makes one attempt at opening the ingest stream against base.
-func (c *Client) openIngest(ctx context.Context, base string) (*IngestStream, error) {
-	is := &IngestStream{}
-	s, err := c.startStream(ctx, base, "/v1/ingest:stream", func(dec *json.Decoder) error {
-		for {
-			var ack IngestAck
-			if err := dec.Decode(&ack); err != nil {
-				if err == io.EOF {
-					return nil
-				}
-				return fmt.Errorf("client: decoding ingest ack: %w", err)
-			}
-			if ack.Error != nil {
-				return ack.Error
-			}
-			is.mu.Lock()
-			if ack.Done {
-				is.summary, is.sawSummary = ack, true
-			} else {
-				is.lastAck = ack
-				is.applied += ack.Rows
-			}
-			is.mu.Unlock()
-		}
+	var is *IngestStream
+	err := c.call(ctx, openCall, "/v1/ingest:stream", func(ctx context.Context, ep *endpoint) (status int, err error) {
+		is = &IngestStream{}
+		is.s, status, err = c.startStream(ctx, ep.base, "/v1/ingest:stream", is.consume)
+		return status, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	is.s = s
 	return is, nil
+}
+
+// consume reads the server's ack lines into is until the stream ends.
+func (is *IngestStream) consume(dec *json.Decoder) error {
+	for {
+		var ack IngestAck
+		if err := dec.Decode(&ack); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return fmt.Errorf("client: decoding ingest ack: %w", err)
+		}
+		if ack.Error != nil {
+			return ack.Error
+		}
+		is.mu.Lock()
+		if ack.Done {
+			is.summary, is.sawSummary = ack, true
+		} else {
+			is.lastAck = ack
+			is.applied += ack.Rows
+		}
+		is.mu.Unlock()
+	}
 }
 
 // Send queues one row. A non-nil error is sticky and reflects the first
@@ -323,84 +274,37 @@ type PredictStream struct {
 
 // PredictStream opens a bulk-prediction stream (POST /v1/predict:stream),
 // routed per the read preference. A refused or failed OPEN (no query
-// sent yet, guaranteed by the 100-continue handshake) fails over to the
-// next read candidate, with backoff honoring Retry-After once the
-// candidates are exhausted.
+// sent yet, guaranteed by the 100-continue handshake) is retried like any
+// read.
 func (c *Client) PredictStream(ctx context.Context) (*PredictStream, error) {
-	candidates := c.readCandidates(ctx)
-	var (
-		lastErr   error
-		slept     time.Duration
-		skipSleep bool
-	)
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
-		if attempt > 0 && !skipSleep {
-			d := c.backoff(lastErr, attempt)
-			if c.retryBudget > 0 && slept+d > c.retryBudget {
-				return nil, fmt.Errorf("client: predict stream: retry budget %v exhausted after %d attempts: %w", c.retryBudget, attempt, lastErr)
-			}
-			if err := sleepCtx(ctx, d); err != nil {
-				return nil, err
-			}
-			slept += d
-		}
-		skipSleep = false
-		ep := candidates[attempt%len(candidates)]
-		ps, err := c.openPredictStream(ctx, ep.base)
-		if err == nil {
-			return ps, nil
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		var e *Error
-		if !errors.As(err, &e) {
-			// Transport fault on open: nothing was sent; try the next node.
-			lastErr = err
-			skipSleep = attempt+1 < len(candidates)
-			continue
-		}
-		if e.Code == CodeNotPrimary && e.PrimaryURL != "" && c.adoptPrimary(e.PrimaryURL) {
-			candidates = c.readCandidates(ctx)
-			lastErr, skipSleep = err, true
-			continue
-		}
-		if !retryable(e, e.HTTPStatus(), true) {
-			return nil, err
-		}
-		lastErr = err
-		if e.HTTPStatus() >= 500 {
-			skipSleep = attempt+1 < len(candidates)
-		}
-	}
-	return nil, fmt.Errorf("client: predict stream: giving up after %d attempts: %w", c.maxAttempts, lastErr)
-}
-
-// openPredictStream makes one attempt at opening the prediction stream
-// against base.
-func (c *Client) openPredictStream(ctx context.Context, base string) (*PredictStream, error) {
-	ps := &PredictStream{results: make(chan PredictResult, 1024)}
-	s, err := c.startStream(ctx, base, "/v1/predict:stream", func(dec *json.Decoder) error {
-		defer close(ps.results)
-		for {
-			var res PredictResult
-			if err := dec.Decode(&res); err != nil {
-				if err == io.EOF {
-					return nil
-				}
-				return fmt.Errorf("client: decoding predict result: %w", err)
-			}
-			if res.Error != nil {
-				return res.Error
-			}
-			ps.results <- res
-		}
+	var ps *PredictStream
+	err := c.call(ctx, readCall, "/v1/predict:stream", func(ctx context.Context, ep *endpoint) (status int, err error) {
+		ps = &PredictStream{results: make(chan PredictResult, 1024)}
+		ps.s, status, err = c.startStream(ctx, ep.base, "/v1/predict:stream", ps.consume)
+		return status, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	ps.s = s
 	return ps, nil
+}
+
+// consume forwards the server's result lines to Recv until the stream ends.
+func (ps *PredictStream) consume(dec *json.Decoder) error {
+	defer close(ps.results)
+	for {
+		var res PredictResult
+		if err := dec.Decode(&res); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return fmt.Errorf("client: decoding predict result: %w", err)
+		}
+		if res.Error != nil {
+			return res.Error
+		}
+		ps.results <- res
+	}
 }
 
 // Send queues one query row.

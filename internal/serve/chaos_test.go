@@ -102,11 +102,11 @@ func chaosFault(src *rng.Stream) vfs.Fault {
 	case 3:
 		return vfs.Fault{Op: vfs.OpSyncDir, Err: vfs.ErrIO, Count: count}
 	case 4:
-		return vfs.Fault{Op: vfs.OpWrite, Path: ".ckpt", Err: vfs.ErrNoSpace, Count: count}
+		return vfs.Fault{Op: vfs.OpWrite, Path: "ckpt-", Err: vfs.ErrNoSpace, Count: count}
 	case 5:
-		return vfs.Fault{Op: vfs.OpRename, Path: ".ckpt", Err: vfs.ErrIO, Count: count}
+		return vfs.Fault{Op: vfs.OpRename, Path: "ckpt-", Err: vfs.ErrIO, Count: count}
 	default:
-		return vfs.Fault{Op: vfs.OpSync, Path: ".ckpt", Err: vfs.ErrIO, Count: count}
+		return vfs.Fault{Op: vfs.OpSync, Path: "ckpt-", Err: vfs.ErrIO, Count: count}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
@@ -272,5 +273,104 @@ func TestApplyBatchContextTimesOutBehindSlowWriter(t *testing.T) {
 	// The slow writer's batch was applied; the timed-out one was not.
 	if v := s.Snapshot().Version(); v != 1 {
 		t.Fatalf("version %d, want 1", v)
+	}
+}
+
+// TestFailedSetAsideKeepsFallbackCheckpoint: a corrupt checkpoint that
+// cannot be set aside aborts Open with the checkpoint set intact. Left in
+// place, it would hold a KeepCheckpoints slot, and the next Checkpoint
+// would retire the good fallback and compact the log past it. And once no
+// loadable checkpoint covers the records compaction dropped, Open refuses
+// with ErrUnrecoverable instead of replaying into the gap.
+func TestFailedSetAsideKeepsFallbackCheckpoint(t *testing.T) {
+	cfg, ffs := faultedConfig(t)
+	cfg.WAL.CheckpointEvery = -1
+	cfg.WAL.SegmentBytes = 2048 // many small segments so compaction bites
+	src := rng.New(47)
+
+	var batches []Batch
+	apply := func(s *Server, n int) {
+		for i := 0; i < n; i++ {
+			b := randomBatch(cfg, src)
+			batches = append(batches, b)
+			if _, err := s.ApplyBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkpoint := func(s *Server) {
+		if _, err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closeServer := func(s *Server) {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ckpt := func(version uint64) string { return filepath.Join(cfg.WAL.Dir, checkpointName(version)) }
+	rot := func(version uint64) {
+		raw, err := os.ReadFile(ckpt(version))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)/3] ^= 0x10
+		if err := os.WriteFile(ckpt(version), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := mustOpen(t, cfg)
+	apply(s, 8)
+	checkpoint(s)
+	apply(s, 8)
+	checkpoint(s)
+	apply(s, 4)
+	closeServer(s)
+	rot(16)
+
+	ffs.Arm(vfs.Fault{Op: vfs.OpRename, Path: "ckpt-", Err: vfs.ErrIO, Count: 1})
+	if s, err := Open(cfg); err == nil {
+		s.Close()
+		t.Fatal("Open succeeded although the corrupt checkpoint could not be set aside")
+	} else if !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Open with a failed set-aside: %v, want the injected EIO", err)
+	}
+	for _, v := range []uint64{8, 16} {
+		if _, err := os.Stat(ckpt(v)); err != nil {
+			t.Fatalf("checkpoint v%d after the aborted Open: %v", v, err)
+		}
+	}
+
+	// The retry sets v16 aside and recovers from v8. The next checkpoint
+	// keeps v8 as its fallback, so rotting it too loses nothing.
+	s = mustOpen(t, cfg)
+	apply(s, 4)
+	checkpoint(s)
+	closeServer(s)
+	rot(24)
+	rec := mustOpen(t, cfg)
+	ref := mustOpen(t, durableConfig(""))
+	for _, b := range batches {
+		if _, err := ref.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireSameState(t, rec, ref, []*bitvec.Vector{bitvec.Random(cfg.Dim, rng.New(8))})
+
+	// Two more checkpoints retire v8 and compact the log past it. With both
+	// rotted, no checkpoint covers the records compaction dropped.
+	apply(rec, 4)
+	checkpoint(rec)
+	apply(rec, 4)
+	checkpoint(rec)
+	closeServer(rec)
+	rot(28)
+	rot(32)
+	if s, err := Open(cfg); !errors.Is(err, ErrUnrecoverable) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("Open with the log's head compacted away: %v, want ErrUnrecoverable", err)
 	}
 }

@@ -184,7 +184,8 @@ func Open(cfg Config) (*Server, error) {
 // record past the applied version into the models, and installs it as
 // s.wal, positioned to append the next version. Open runs it after loading
 // a checkpoint, Recover after a storage fault. A log that ends before the
-// applied version with no checkpoint covering the gap has lost
+// applied version with no checkpoint covering the gap, or starts past it
+// because compaction dropped records no loaded checkpoint covers, has lost
 // acknowledged writes: ErrUnrecoverable, and the models are left as they
 // were. Called under s.mu.
 func (s *Server) reopenLogLocked() error {
@@ -193,11 +194,17 @@ func (s *Server) reopenLogLocked() error {
 	if err != nil {
 		return fmt.Errorf("serve: opening log: %w", err)
 	}
-	if next := log.NextSeq(); next <= s.version && s.lastCkpt.Load() < s.version {
-		// Failing here instead of resuming is the whole point of the
-		// acked-durability contract.
+	// Failing here instead of resuming is the whole point of the
+	// acked-durability contract.
+	switch next, oldest := log.NextSeq(), log.OldestSeq(); {
+	case next <= s.version && s.lastCkpt.Load() < s.version:
+		err = fmt.Errorf("%w: log resumes at seq %d but version %d was acknowledged", ErrUnrecoverable, next, s.version)
+	case oldest > s.version+1:
+		err = fmt.Errorf("%w: log starts at seq %d but only version %d is applied", ErrUnrecoverable, oldest, s.version)
+	}
+	if err != nil {
 		log.Close()
-		return fmt.Errorf("%w: log resumes at seq %d but version %d was acknowledged", ErrUnrecoverable, next, s.version)
+		return err
 	}
 	// Records past the applied version were written but never applied (a
 	// crash restart's suffix, or the batch a faulty append wrote without
@@ -311,10 +318,13 @@ func loadLatestCheckpoint(cfg Config, fs vfs.FS, dir string) (*Server, uint64, e
 			return s, v, nil
 		case errors.Is(err, errCkptCorrupt):
 			// Damaged bytes: keep them for forensics, fall back to the
-			// next older checkpoint. A failed set-aside is ignored because
-			// recovery falls back either way; the file stays in place and
-			// the next Open tries it again.
-			_ = vfs.SetAside(fs, path)
+			// next older checkpoint. A corrupt file left in place would
+			// hold a KeepCheckpoints slot, and the next Checkpoint would
+			// retire the good fallback and compact the log past it, so a
+			// failed set-aside aborts like any other I/O fault.
+			if err := vfs.SetAside(fs, path); err != nil {
+				return nil, 0, fmt.Errorf("serve: setting aside corrupt checkpoint: %w", err)
+			}
 		default:
 			// Shape/config mismatch or I/O fault — not corruption. Abort
 			// with the checkpoint set intact so a correctly-configured
