@@ -311,8 +311,8 @@ func NewHashRing(m, d int, seed uint64) (*HashRing, error) { return hashring.New
 type Server = serve.Server
 
 // ServerConfig parameterizes a Server: dimension, class count, shard and
-// worker fan-out, and the optional regression label encoder and SDM
-// cleanup memory.
+// worker fan-out, seed, routing ring, snapshot indexes and, for
+// OpenDurableServer, the write-ahead log.
 type ServerConfig = serve.Config
 
 // Snapshot is an immutable, versioned, finalized view of every model a
@@ -322,24 +322,15 @@ type ServerConfig = serve.Config
 // keeps serving, and warm-start a fresh server via Server.Restore.
 type Snapshot = serve.Snapshot
 
-// ServerBatch is one atomic unit of server writes — training samples,
-// un-training, regression pairs, item-memory membership churn, SDM writes
-// and an optional refinement pass — applied by Server.ApplyBatch, which
-// validates the whole batch before mutating anything and publishes (and
-// returns) the next snapshot.
+// ServerBatch is one atomic unit of server writes — classifier training
+// samples and item-memory membership churn — applied by Server.ApplyBatch,
+// which validates the whole batch before mutating anything and publishes
+// (and returns) the next snapshot. The regression and SDM models are
+// in-process (NewRegressor, NewSDM); a Server does not host them.
 type ServerBatch = serve.Batch
 
 // ServerSample is one encoded classification example in a ServerBatch.
 type ServerSample = serve.Sample
-
-// ServerPair is one encoded regression pair in a ServerBatch.
-type ServerPair = serve.Pair
-
-// ServerMemWrite is one SDM cleanup-memory write in a ServerBatch.
-type ServerMemWrite = serve.MemWrite
-
-// ServerRefine requests retraining epochs as part of a ServerBatch.
-type ServerRefine = serve.Refine
 
 // ServerStats is the point-in-time operational summary from Server.Stats.
 type ServerStats = serve.Stats

@@ -13,8 +13,7 @@ func TestFacadeServer(t *testing.T) {
 		d = 512
 		k = 6
 	)
-	labels := NewScalarEncoder(NewBasis(Level, 16, d, 0, NewStream(3)), 0, 15)
-	srv, err := NewServer(ServerConfig{Dim: d, Classes: k, Shards: 2, Workers: 2, Seed: 9, Labels: labels})
+	srv, err := NewServer(ServerConfig{Dim: d, Classes: k, Shards: 2, Workers: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +56,7 @@ func TestFacadeServer(t *testing.T) {
 	if _, err := snap.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := NewServer(ServerConfig{Dim: d, Classes: k, Shards: 2, Workers: 2, Seed: 9, Labels: labels})
+	loaded, err := NewServer(ServerConfig{Dim: d, Classes: k, Shards: 2, Workers: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +72,7 @@ func TestFacadeServer(t *testing.T) {
 	}
 
 	stats := srv.Stats()
-	if stats.Shards != 2 || stats.Classes != k || !stats.Regression {
+	if stats.Shards != 2 || stats.Classes != k || stats.Samples != 24 {
 		t.Errorf("stats = %+v", stats)
 	}
 }

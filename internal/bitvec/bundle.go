@@ -174,16 +174,6 @@ func NewAccumulator(d int) *Accumulator {
 // Dim returns the accumulator dimension.
 func (a *Accumulator) Dim() int { return a.d }
 
-// Clone returns an independent copy of the accumulator. Copy-on-write
-// snapshot layers (internal/sdm's Fork, internal/serve) clone only the
-// counters a write batch touches, so snapshots share the untouched
-// majority of the training state.
-func (a *Accumulator) Clone() *Accumulator {
-	cp := &Accumulator{d: a.d, counts: make([]int32, len(a.counts)), n: a.n}
-	copy(cp.counts, a.counts)
-	return cp
-}
-
 // N returns how many vectors have been added (minus weight on Sub).
 func (a *Accumulator) N() int { return a.n }
 

@@ -148,33 +148,6 @@ func TestAccumulatorSubUndoesAdd(t *testing.T) {
 	}
 }
 
-func TestAccumulatorClone(t *testing.T) {
-	src := newTestSource(51)
-	d := 200
-	acc := NewAccumulator(d)
-	acc.Add(Random(d, src))
-	acc.Add(Random(d, src))
-	cp := acc.Clone()
-	if cp.Dim() != d || cp.N() != acc.N() {
-		t.Fatalf("clone dim/N = %d/%d, want %d/%d", cp.Dim(), cp.N(), d, acc.N())
-	}
-	for i := range acc.Counts() {
-		if cp.Counts()[i] != acc.Counts()[i] {
-			t.Fatalf("clone count %d differs", i)
-		}
-	}
-	// Independence both ways: writes through either side must not show up
-	// on the other.
-	cp.Counts()[0] += 100
-	if acc.Counts()[0] == cp.Counts()[0] {
-		t.Fatal("clone aliases parent counters (parent saw clone write)")
-	}
-	acc.Counts()[1] += 100
-	if cp.Counts()[1] == acc.Counts()[1] {
-		t.Fatal("clone aliases parent counters (clone saw parent write)")
-	}
-}
-
 func TestAccumulatorWeighted(t *testing.T) {
 	src := newTestSource(49)
 	d := 128

@@ -173,7 +173,9 @@ func (r *Ring) Corrupt(fraction float64, stream *rng.Stream) {
 	}
 	d := r.set.Dim()
 	n := int(fraction * float64(d))
-	for _, v := range r.vectors {
+	// Name order, not map order: the stream's flips must land on the same
+	// members every run for a seeded corruption to be reproducible.
+	for _, v := range r.vlist {
 		for i := 0; i < n; i++ {
 			v.FlipBit(stream.Intn(d))
 		}

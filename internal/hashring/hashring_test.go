@@ -228,6 +228,29 @@ func TestCorruptionRobustness(t *testing.T) {
 	}
 }
 
+// TestCorruptReproducible: a seeded corruption lands the same flips on
+// the same members every time, so two identical rings corrupted from equal
+// streams end with identical vectors.
+func TestCorruptReproducible(t *testing.T) {
+	for rep := 0; rep < 20; rep++ {
+		var rings [2]*Ring
+		for i := range rings {
+			rings[i] = mustNew(t, 16, 1024, 8)
+			for _, n := range []string{"a", "b", "c", "d", "e"} {
+				if _, err := rings[i].Add(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rings[i].Corrupt(0.15, rng.New(7))
+		}
+		for name, v := range rings[0].vectors {
+			if !v.Equal(rings[1].vectors[name]) {
+				t.Fatalf("repetition %d: member %q corrupted differently", rep, name)
+			}
+		}
+	}
+}
+
 func TestCorruptPanicsOnBadFraction(t *testing.T) {
 	r := mustNew(t, 8, 512, 9)
 	defer func() {

@@ -231,6 +231,22 @@ func TestSnapshotDownloadWarmStart(t *testing.T) {
 	}
 }
 
+// TestOverlongSymbolRefused: a symbol the server could not reload from a
+// checkpoint is the client's error, answered before anything applies.
+func TestOverlongSymbolRefused(t *testing.T) {
+	a := testAPI(t)
+	rec, out := doJSON(t, a, http.MethodPost, "/v1/train", TrainRequest{Symbols: []string{strings.Repeat("s", 1<<20+1)}})
+	if rec.Code != http.StatusBadRequest || errCode(t, out) != string(CodeInvalidRequest) {
+		t.Fatalf("1 MiB+1 symbol: %d %v", rec.Code, out)
+	}
+	if v := a.cfg.Server.Snapshot().Version(); v != 0 {
+		t.Fatalf("refused train moved the version to %d", v)
+	}
+	if rec, out := doJSON(t, a, http.MethodPost, "/v1/train", TrainRequest{Symbols: []string{strings.Repeat("s", 1<<20)}}); rec.Code != http.StatusOK {
+		t.Fatalf("1 MiB symbol: %d %v", rec.Code, out)
+	}
+}
+
 func TestRequestValidationAndHardening(t *testing.T) {
 	a := testAPI(t, func(c *Config) { c.MaxBodyBytes = 2048 })
 	cases := []struct {

@@ -271,11 +271,10 @@ func (c *Classifier) checkClass(i int) {
 // Regressor is the single-hypervector regression model
 // M = ⊕_i φ(x_i) ⊗ φℓ(y_i).
 type Regressor struct {
-	d      int
-	acc    *bitvec.Accumulator
-	tie    bitvec.TieBreak
-	src    *rng.Stream
-	tieVec *bitvec.Vector // optional fixed tie vector; see SetTieVector
+	d   int
+	acc *bitvec.Accumulator
+	tie bitvec.TieBreak
+	src *rng.Stream
 
 	mu    sync.Mutex                    // serializes finalization
 	model atomic.Pointer[bitvec.Vector] // thresholded; nil until finalize
@@ -298,17 +297,6 @@ func NewRegressor(d int, seed uint64) *Regressor {
 // Dim returns the hypervector dimension.
 func (r *Regressor) Dim() int { return r.d }
 
-// SetTieVector switches finalization to a fixed tie vector, making it a
-// pure, idempotent function of the accumulator state (see
-// Classifier.SetTieVectors). Call before training.
-func (r *Regressor) SetTieVector(tv *bitvec.Vector) {
-	if tv.Dim() != r.d {
-		panic(fmt.Sprintf("model: tie vector has dimension %d, regressor %d", tv.Dim(), r.d))
-	}
-	r.tieVec = tv
-	r.model.Store(nil)
-}
-
 // Add memorizes one training pair: the binding of the encoded sample and
 // the encoded label is bundled into the model.
 func (r *Regressor) Add(sampleHV, labelHV *bitvec.Vector) {
@@ -327,12 +315,7 @@ func (r *Regressor) Finalize() {
 }
 
 func (r *Regressor) finalizeLocked() *bitvec.Vector {
-	var m *bitvec.Vector
-	if r.tieVec != nil {
-		m = r.acc.ThresholdTieVector(r.tieVec)
-	} else {
-		m = r.acc.Threshold(r.tie, r.src)
-	}
+	m := r.acc.Threshold(r.tie, r.src)
 	r.model.Store(m)
 	return m
 }

@@ -22,7 +22,6 @@ const (
 	classifierMagic      = "HCLS"
 	classifierStateMagic = "HCST"
 	regressorMagic       = "HREG"
-	regressorStateMagic  = "HRST"
 	modelVersion         = 1
 )
 
@@ -179,50 +178,6 @@ func (r *Regressor) WriteTo(w io.Writer) (int64, error) {
 	}
 	kk, err := r.Model().WriteTo(w)
 	return n + kk, err
-}
-
-// WriteStateTo serializes the regressor's exact training state (its
-// accumulator) — the regression counterpart of Classifier.WriteStateTo.
-//
-//	stream: magic "HRST" | uint32 version | 1 HACC accumulator
-func (r *Regressor) WriteStateTo(w io.Writer) (int64, error) {
-	header := make([]byte, 4+4)
-	copy(header, regressorStateMagic)
-	binary.LittleEndian.PutUint32(header[4:], modelVersion)
-	var n int64
-	k, err := w.Write(header)
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	kk, err := r.acc.WriteTo(w)
-	return n + kk, err
-}
-
-// RestoreStateFrom replaces the regressor's accumulator with the exact
-// state written by WriteStateTo and invalidates the finalized model. On
-// error the regressor is unchanged.
-func (r *Regressor) RestoreStateFrom(rd io.Reader) error {
-	header := make([]byte, 4+4)
-	if _, err := io.ReadFull(rd, header); err != nil {
-		return fmt.Errorf("model: reading regressor state header: %w", err)
-	}
-	if string(header[:4]) != regressorStateMagic {
-		return errors.New("model: bad magic (not a regressor state stream)")
-	}
-	if ver := binary.LittleEndian.Uint32(header[4:]); ver != modelVersion {
-		return fmt.Errorf("model: unsupported regressor state version %d", ver)
-	}
-	acc, err := bitvec.ReadAccumulator(rd)
-	if err != nil {
-		return fmt.Errorf("model: reading regressor accumulator: %w", err)
-	}
-	if acc.Dim() != r.d {
-		return fmt.Errorf("model: regressor accumulator dimension %d, regressor %d", acc.Dim(), r.d)
-	}
-	r.acc = acc
-	r.model.Store(nil)
-	return nil
 }
 
 // ReadRegressor deserializes a regressor written by WriteTo.

@@ -159,34 +159,6 @@ func TestClassifierStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRegressorStateRoundTrip(t *testing.T) {
-	const d = 512
-	src := rng.New(33)
-	a := NewRegressor(d, 5)
-	a.SetTieVector(bitvec.Random(d, src))
-	for i := 0; i < 9; i++ {
-		a.Add(bitvec.Random(d, src), bitvec.Random(d, src))
-	}
-	var buf bytes.Buffer
-	if _, err := a.WriteStateTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := NewRegressor(d, 5)
-	b.SetTieVector(a.tieVec)
-	if err := b.RestoreStateFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != b.N() {
-		t.Fatalf("restored pair count %d, want %d", b.N(), a.N())
-	}
-	pair := bitvec.Random(d, rng.New(78))
-	a.Add(pair, pair)
-	b.Add(pair, pair)
-	if !a.Model().Equal(b.Model()) {
-		t.Fatal("regressor model diverged after restored training")
-	}
-}
-
 func TestRestoreStateRejectsShapeMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	a := NewClassifier(3, 256, 1)

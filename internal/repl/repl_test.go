@@ -21,43 +21,29 @@ import (
 	"time"
 
 	"hdcirc/internal/bitvec"
-	"hdcirc/internal/core"
-	"hdcirc/internal/embed"
 	"hdcirc/internal/httpapi"
 	"hdcirc/internal/rng"
-	"hdcirc/internal/sdm"
 	"hdcirc/internal/serve"
 )
 
 const testDim = 384
 
-// durableConfig mirrors the serve test fixture: every write kind enabled
-// so shipped batches exercise the full apply surface.
+// durableConfig mirrors the serve test fixture: several shards, so both
+// write kinds route across them.
 func durableConfig(dir string) serve.Config {
 	cfg := serve.Config{Dim: testDim, Classes: 7, Shards: 3, Workers: 2, Seed: 1234}
-	labelSet := core.Config{Kind: core.KindLevel, M: 16, D: cfg.Dim}.Build(rng.Sub(cfg.Seed, "test/labels"))
-	cfg.Labels = embed.NewScalarEncoder(labelSet, 0, 15)
-	mc := sdm.Config{Dim: cfg.Dim, Locations: 300, Radius: cfg.Dim/2 - cfg.Dim/16, Seed: 5}
-	cfg.Cleanup = &mc
 	cfg.WAL = &serve.WALConfig{Dir: dir}
 	return cfg
 }
 
-// randomBatch draws one batch mixing every write kind.
+// randomBatch draws one batch of Train samples and item symbols.
 func randomBatch(cfg serve.Config, src *rng.Stream) serve.Batch {
 	var b serve.Batch
 	for i, n := 0, int(src.Uint64()%4); i < n; i++ {
 		b.Train = append(b.Train, serve.Sample{Class: int(src.Uint64() % uint64(cfg.Classes)), HV: bitvec.Random(cfg.Dim, src)})
 	}
-	if src.Uint64()%3 == 0 {
-		b.Pairs = append(b.Pairs, serve.Pair{X: bitvec.Random(cfg.Dim, src), Value: float64(src.Uint64() % 16)})
-	}
 	for i, n := 0, int(src.Uint64()%3); i < n; i++ {
 		b.Items = append(b.Items, fmt.Sprintf("item/%d", src.Uint64()%50))
-	}
-	if src.Uint64()%3 == 0 {
-		w := bitvec.Random(cfg.Dim, src)
-		b.Writes = append(b.Writes, serve.MemWrite{Address: w, Data: w})
 	}
 	return b
 }
@@ -206,7 +192,7 @@ func TestFollowerSeedsFromCheckpointPastCompaction(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := durableConfig(t.TempDir())
-	cfg.WAL.SegmentBytes = 1024
+	cfg.WAL.SegmentBytes = 768
 	cfg.WAL.KeepCheckpoints = 1
 	psrv := mustOpen(t, cfg)
 	defer psrv.Close()
@@ -322,7 +308,7 @@ func TestReplicationChaosKillPoints(t *testing.T) {
 			defer cancel()
 
 			pcfg := durableConfig(t.TempDir())
-			pcfg.WAL.SegmentBytes = 2048
+			pcfg.WAL.SegmentBytes = 1536
 			pcfg.WAL.KeepCheckpoints = 1
 			// Random automatic checkpoint cadence; -1 disables (only
 			// explicit checkpoints below).

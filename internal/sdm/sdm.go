@@ -22,17 +22,13 @@ import (
 
 // Memory is a sparse distributed memory. Reads (Read, ReadIterative,
 // ActivationCount) are pure and safe from any number of goroutines as long
-// as no Write runs concurrently; Write requires exclusive access. For
-// serving, Fork gives cheap immutable generations: never write a published
-// memory again, write its fork instead.
+// as no Write runs concurrently; Write requires exclusive access.
 type Memory struct {
 	d         int
 	radius    int
-	addresses []*bitvec.Vector      // shared across forks, never mutated
-	addrIx    *index.Index          // optional sketch index over addresses; shared across forks
+	addresses []*bitvec.Vector      // fixed at New, never mutated
+	addrIx    *index.Index          // optional sketch index over addresses
 	counters  []*bitvec.Accumulator // per hard location bipolar counters
-	owned     []bool                // nil: all counters owned; else copy-on-write markers
-	writes    int
 }
 
 // Config parameterizes a Memory.
@@ -45,7 +41,7 @@ type Config struct {
 
 	// Index optionally routes the activation scan through a bit-sampling
 	// sketch index over the hard-location addresses (built once at New —
-	// the addresses never change — and shared by every Fork). Candidates
+	// the addresses never change). Candidates
 	// are screened by signature distance against the slack-widened scaled
 	// radius, then verified exactly, so activations contain no false
 	// positives; misses are bounded by the configured RadiusSlack. Note
@@ -143,9 +139,6 @@ func (m *Memory) Locations() int { return len(m.addresses) }
 // Radius returns the activation radius.
 func (m *Memory) Radius() int { return m.radius }
 
-// Writes returns the number of Write calls so far.
-func (m *Memory) Writes() int { return m.writes }
-
 // activated returns the indexes of hard locations within the radius of a,
 // ascending. With an address index configured, candidates come from the
 // signature screen plus exact verification; otherwise (and whenever the
@@ -169,43 +162,15 @@ func (m *Memory) activated(a *bitvec.Vector) []int {
 // useful for validating that the radius is in the sparse regime.
 func (m *Memory) ActivationCount(a *bitvec.Vector) int { return len(m.activated(a)) }
 
-// Fork returns a new generation of the memory that shares all storage
-// with m: the fixed addresses outright, and the counters copy-on-write —
-// a Write to the fork first clones the counters of the (few, sparse-regime)
-// activated locations, leaving m and every earlier fork untouched. Forking
-// is O(locations) pointer copies, not O(locations × dimension) counter
-// copies, so a serving layer can publish an immutable snapshot per write
-// batch. The fork starts with the same contents and write count as m.
-func (m *Memory) Fork() *Memory {
-	cp := &Memory{
-		d:         m.d,
-		radius:    m.radius,
-		addresses: m.addresses,
-		addrIx:    m.addrIx,
-		counters:  make([]*bitvec.Accumulator, len(m.counters)),
-		owned:     make([]bool, len(m.counters)),
-		writes:    m.writes,
-	}
-	copy(cp.counters, m.counters)
-	return cp
-}
-
 // Write stores data at address: every activated location's counters move
 // toward the data word (auto-association uses Write(x, x)). Each update is
-// one word-parallel accumulator addition. On a forked memory the touched
-// locations are cloned first (copy-on-write), so the parent generation is
-// never modified.
+// one word-parallel accumulator addition.
 func (m *Memory) Write(address, data *bitvec.Vector) {
 	m.check(address)
 	m.check(data)
 	for _, i := range m.activated(address) {
-		if m.owned != nil && !m.owned[i] {
-			m.counters[i] = m.counters[i].Clone()
-			m.owned[i] = true
-		}
 		m.counters[i].Add(data)
 	}
-	m.writes++
 }
 
 // Read recalls the word stored at address by summing activated counters

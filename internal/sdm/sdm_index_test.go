@@ -112,12 +112,3 @@ func TestIndexedReadWriteRoundTrip(t *testing.T) {
 		t.Fatalf("recalled word at distance %v from stored item", word.Distance(stored))
 	}
 }
-
-func TestForkSharesAddressIndex(t *testing.T) {
-	ixCfg := index.Config{MinSize: 10}
-	m := New(Config{Dim: 256, Locations: 50, Radius: 64, Seed: 7, Index: &ixCfg})
-	f := m.Fork()
-	if f.addrIx != m.addrIx {
-		t.Fatal("fork rebuilt or dropped the shared address index")
-	}
-}

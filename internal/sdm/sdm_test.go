@@ -38,9 +38,6 @@ func TestAccessors(t *testing.T) {
 	if m.Dim() != 256 || m.Locations() != 2000 {
 		t.Error("accessors wrong")
 	}
-	if m.Writes() != 0 {
-		t.Error("fresh memory has writes")
-	}
 }
 
 func TestActivationSparse(t *testing.T) {
@@ -65,9 +62,6 @@ func TestAutoAssociativeRecallExact(t *testing.T) {
 	for i := range items {
 		items[i] = bitvec.Random(256, r)
 		m.Write(items[i], items[i])
-	}
-	if m.Writes() != 5 {
-		t.Errorf("writes = %d", m.Writes())
 	}
 	for i, item := range items {
 		got, ok := m.Read(item)

@@ -128,7 +128,7 @@ func runChaos(t *testing.T, seed uint64) error {
 	ffs.Seed(seed)
 	cfg := durableConfig(t.TempDir())
 	cfg.WAL.FS = ffs
-	cfg.WAL.SegmentBytes = int64(2048 + src.Intn(4096)) // small: rotation under fire
+	cfg.WAL.SegmentBytes = int64(1024 + src.Intn(2048)) // small: rotation under fire
 	cfg.WAL.CheckpointEvery = -1                        // checkpoints only when the schedule says so
 	s := mustOpen(t, cfg)
 	defer s.Close()

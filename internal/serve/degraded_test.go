@@ -285,7 +285,7 @@ func TestApplyBatchContextTimesOutBehindSlowWriter(t *testing.T) {
 func TestFailedSetAsideKeepsFallbackCheckpoint(t *testing.T) {
 	cfg, ffs := faultedConfig(t)
 	cfg.WAL.CheckpointEvery = -1
-	cfg.WAL.SegmentBytes = 2048 // many small segments so compaction bites
+	cfg.WAL.SegmentBytes = 1024 // many small segments so compaction bites
 	src := rng.New(47)
 
 	var batches []Batch

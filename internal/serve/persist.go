@@ -5,17 +5,18 @@ package serve
 // and applying writes — the bytes describe exactly one published version.
 //
 //	stream: magic "HSRV" | uint32 format | uint64 version | uint64 samples
-//	        | uint64 pairs | uint8 flags | HCLS classifier stream
-//	        | [HREG regressor stream] | uint64 item count | framed symbols
+//	        | uint64 pairs (0) | uint8 flags (0) | HCLS classifier stream
+//	        | uint64 item count | framed symbols
 //
-// The classifier and regressor sections reuse internal/model's wire
-// formats, so a snapshot's model section is readable by plain
-// model.ReadClassifier too. Like ReadClassifier, a warm start re-seeds
-// the shard accumulators with UNIT weight — the loaded server predicts
-// bit-identically to the saved snapshot, but continued refinement moves
-// faster than it would have on the original accumulators (the training
-// counts are not persisted). The SDM cleanup memory is rebuildable cache
-// state and is intentionally not persisted.
+// The pairs count and flags once described a regression section the
+// server no longer hosts. They are still written as zeros, so the stream
+// keeps its format number, and Restore refuses a stream where either is
+// nonzero. The classifier section reuses internal/model's wire format, so
+// a snapshot's model section is readable by plain model.ReadClassifier
+// too. Like ReadClassifier, a warm start re-seeds the shard accumulators
+// with UNIT weight — the loaded server predicts bit-identically to the
+// saved snapshot, but continued training moves faster than it would have
+// on the original accumulators (the training counts are not persisted).
 
 import (
 	"encoding/binary"
@@ -23,15 +24,12 @@ import (
 	"fmt"
 	"io"
 
-	"hdcirc/internal/bitvec"
 	"hdcirc/internal/model"
 )
 
 const (
 	snapshotMagic  = "HSRV"
 	snapshotFormat = 1
-
-	flagRegressor = 1 << 0
 )
 
 // WriteTo serializes the snapshot. It is safe to call at any time,
@@ -42,10 +40,6 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint32(header[4:], snapshotFormat)
 	binary.LittleEndian.PutUint64(header[8:], s.version)
 	binary.LittleEndian.PutUint64(header[16:], s.samples)
-	binary.LittleEndian.PutUint64(header[24:], s.pairs)
-	if s.reg != nil {
-		header[32] |= flagRegressor
-	}
 	var n int64
 	k, err := w.Write(header)
 	n += int64(k)
@@ -65,16 +59,6 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	n += k64
 	if err != nil {
 		return n, err
-	}
-
-	if s.reg != nil {
-		reg := model.NewRegressor(s.dim, 0)
-		reg.Add(s.reg, bitvec.New(s.dim)) // x ⊗ 0 = x: seeds the model vector itself
-		k64, err = reg.WriteTo(w)
-		n += k64
-		if err != nil {
-			return n, err
-		}
 	}
 
 	// Item symbols in shard-major creation order. Vectors are not stored:
@@ -110,8 +94,8 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Restore warm-starts a FRESH server from a stream written by
-// Snapshot.WriteTo: the loaded server publishes a snapshot that predicts,
-// looks up and decodes bit-identically to the saved one, and can keep
+// Snapshot.WriteTo: the loaded server publishes a snapshot that predicts
+// and looks up bit-identically to the saved one, and can keep
 // taking writes (with the unit-weight re-seeding caveat documented above).
 // The server must be empty (no applied batches) and shaped compatibly
 // (same dimension and class count; the item-vector seed must match the
@@ -119,7 +103,7 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 func (s *Server) Restore(r io.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.version != 0 || s.samples != 0 || s.pairs != 0 || s.nitems != 0 {
+	if s.version != 0 || s.samples != 0 || s.nitems != 0 {
 		return errors.New("serve: Restore needs a fresh server (writes already applied)")
 	}
 	if s.wal != nil {
@@ -140,8 +124,9 @@ func (s *Server) Restore(r io.Reader) error {
 	}
 	version := binary.LittleEndian.Uint64(header[8:])
 	samples := binary.LittleEndian.Uint64(header[16:])
-	pairs := binary.LittleEndian.Uint64(header[24:])
-	flags := header[32]
+	if pairs, flags := binary.LittleEndian.Uint64(header[24:]), header[32]; pairs != 0 || flags != 0 {
+		return fmt.Errorf("serve: snapshot carries regression state (%d pairs, flags %#x), which the server does not host", pairs, flags)
+	}
 
 	clf, err := model.ReadClassifier(r, 0)
 	if err != nil {
@@ -150,21 +135,6 @@ func (s *Server) Restore(r io.Reader) error {
 	if clf.NumClasses() != s.cfg.Classes || clf.Dim() != s.cfg.Dim {
 		return fmt.Errorf("serve: snapshot is %d classes × %d dims, server %d × %d",
 			clf.NumClasses(), clf.Dim(), s.cfg.Classes, s.cfg.Dim)
-	}
-
-	var regModel *bitvec.Vector
-	if flags&flagRegressor != 0 {
-		if s.reg == nil {
-			return errors.New("serve: snapshot carries a regressor but the server has no label encoder")
-		}
-		loaded, err := model.ReadRegressor(r, 0)
-		if err != nil {
-			return fmt.Errorf("serve: reading regressor section: %w", err)
-		}
-		if loaded.Dim() != s.cfg.Dim {
-			return fmt.Errorf("serve: regressor dimension %d, server %d", loaded.Dim(), s.cfg.Dim)
-		}
-		regModel = loaded.Model()
 	}
 
 	var buf [8]byte
@@ -181,7 +151,7 @@ func (s *Server) Restore(r io.Reader) error {
 			return fmt.Errorf("serve: reading item %d: %w", i, err)
 		}
 		l := binary.LittleEndian.Uint32(buf[:4])
-		if l > 1<<20 {
+		if l > maxSymbolLen {
 			return fmt.Errorf("serve: implausible symbol length %d", l)
 		}
 		raw := make([]byte, l)
@@ -198,9 +168,6 @@ func (s *Server) Restore(r io.Reader) error {
 		sh := s.shards[s.shardOf[c]]
 		sh.cls.Add(sh.local[c], clf.ClassVector(c))
 	}
-	if regModel != nil {
-		s.reg.Add(regModel, bitvec.New(s.cfg.Dim))
-	}
 	for _, sym := range syms {
 		sh, err := s.routeKey("item/" + sym)
 		if err != nil {
@@ -210,7 +177,6 @@ func (s *Server) Restore(r io.Reader) error {
 	}
 	s.version = version
 	s.samples = samples
-	s.pairs = pairs
 	s.nitems = len(syms)
 	s.snap.Store(s.buildSnapshotLocked(nil, nil))
 	return nil

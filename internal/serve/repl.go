@@ -295,10 +295,7 @@ func (s *Server) InstallCheckpoint(ctx context.Context, raw []byte) error {
 	}
 
 	s.shards = fresh.shards
-	s.reg = fresh.reg
-	s.mem = fresh.mem
 	s.samples = fresh.samples
-	s.pairs = fresh.pairs
 	s.nitems = fresh.nitems
 	s.version = fresh.version
 	s.snap.Store(s.buildSnapshotLocked(nil, nil))

@@ -55,7 +55,7 @@ func TestFollowerRejectsClientWrites(t *testing.T) {
 	if _, err := s.ApplyBatch(Batch{Items: []string{"x"}}); err != nil {
 		t.Fatalf("ApplyBatch after Promote: %v", err)
 	}
-	if err := s.ApplyReplicated(context.Background(), 2, encodeBatch(&Batch{Items: []string{"y"}}, s.cfg.Dim)); err == nil {
+	if err := s.ApplyReplicated(context.Background(), 2, encodeBatch(&Batch{Items: []string{"y"}})); err == nil {
 		t.Fatal("ApplyReplicated on a primary succeeded")
 	}
 }
@@ -144,7 +144,7 @@ func TestInstallCheckpointSeedsLaggedFollower(t *testing.T) {
 	cfgDir := t.TempDir()
 	cfg := durableConfig(cfgDir)
 	cfg.WAL.KeepCheckpoints = 1
-	cfg.WAL.SegmentBytes = 1024 // rotate often so TruncateBefore can drop segments
+	cfg.WAL.SegmentBytes = 512 // rotate often so TruncateBefore can drop segments
 	primary := mustOpen(t, cfg)
 	defer primary.Close()
 	for i := 0; i < 20; i++ {

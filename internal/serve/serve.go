@@ -1,21 +1,24 @@
 // Package serve is the concurrency-safe online inference layer: it wraps
-// the mutable learning models (Classifier, Regressor, ItemMemory, SDM)
-// behind immutable, versioned snapshots swapped through an atomic pointer.
+// the mutable learning models (a sharded Classifier and ItemMemory) behind
+// immutable, versioned snapshots swapped through an atomic pointer.
 //
 // The contract splits the world into two planes:
 //
-//   - Reads (Predict, Scores, Lookup, PredictValue, Cleanup) run against
-//     the current Snapshot: a frozen, finalized view that is never mutated
-//     after publication. Grabbing it is one atomic load, so reads are
-//     lock-free, race-free at any fan-in, and internally consistent — a
-//     request that loads snapshot v sees ALL of v and nothing of v+1.
+//   - Reads (Predict, Scores, Lookup) run against the current Snapshot: a
+//     frozen, finalized view that is never mutated after publication.
+//     Grabbing it is one atomic load, so reads are lock-free, race-free at
+//     any fan-in, and internally consistent — a request that loads
+//     snapshot v sees ALL of v and nothing of v+1.
 //
-//   - Writes (ApplyBatch: training samples, regression pairs, item-memory
-//     membership churn, SDM writes, refinement) go through a single-writer
-//     apply path. The writer validates the whole batch first (a rejected
-//     batch mutates nothing), applies it to the master models, rebuilds
-//     only the shard views the batch dirtied, and publishes a new snapshot
-//     with the next version number.
+//   - Writes (ApplyBatch: classifier training samples and item-memory
+//     membership churn, the two write kinds API v1 can send) go through a
+//     single-writer apply path. The writer validates the whole batch first
+//     (a rejected batch mutates nothing), applies it to the master models,
+//     rebuilds only the shard views the batch dirtied, and publishes a new
+//     snapshot with the next version number.
+//
+// The paper's regression model and the SDM cleanup memory are in-process
+// models (internal/model, internal/sdm); the server does not host them.
 //
 // Snapshots are deterministic: shard classifiers finalize with fixed
 // per-class tie vectors derived from (seed, global class id), so the
@@ -47,7 +50,6 @@ import (
 	"hdcirc/internal/index"
 	"hdcirc/internal/model"
 	"hdcirc/internal/rng"
-	"hdcirc/internal/sdm"
 	"hdcirc/internal/wal"
 )
 
@@ -67,11 +69,6 @@ type Config struct {
 	// vectors, ring positions). Two servers with equal configs are
 	// bit-identical given equal write sequences.
 	Seed uint64
-	// Labels optionally enables the regression engine: pairs are decoded
-	// against this label encoder. Nil disables regression.
-	Labels *embed.ScalarEncoder
-	// Cleanup optionally enables the SDM cleanup memory. Nil disables it.
-	Cleanup *sdm.Config
 	// RingPositions sizes the consistent-hashing ring used for routing;
 	// <= 0 selects max(8, 2*Shards). Must be >= Shards.
 	RingPositions int
@@ -115,10 +112,7 @@ type Server struct {
 
 	mu      sync.Mutex // the single-writer apply path
 	shards  []*shardState
-	reg     *model.Regressor
-	mem     *sdm.Memory // current COW head; published heads are never written again
 	samples uint64
-	pairs   uint64
 	nitems  int
 	version uint64
 	closed  bool  // Close called; writes fail, reads keep serving
@@ -236,9 +230,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.RingPositions < cfg.Shards {
 		return nil, fmt.Errorf("serve: %d ring positions cannot hold %d shards", cfg.RingPositions, cfg.Shards)
 	}
-	if cfg.Labels != nil && cfg.Labels.Set().Dim() != cfg.Dim {
-		return nil, fmt.Errorf("serve: label encoder dimension %d, server %d", cfg.Labels.Set().Dim(), cfg.Dim)
-	}
 	ring, err := hashring.New(cfg.RingPositions, cfg.Dim, rng.Sub(cfg.Seed, "serve/ring").Uint64())
 	if err != nil {
 		return nil, fmt.Errorf("serve: building routing ring: %w", err)
@@ -297,16 +288,6 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		st.cls.SetTieVectors(tvs)
 	}
-	if cfg.Labels != nil {
-		s.reg = model.NewRegressor(cfg.Dim, cfg.Seed)
-		s.reg.SetTieVector(bitvec.Random(cfg.Dim, rng.Sub(cfg.Seed, "serve/ties/regressor")))
-	}
-	if cfg.Cleanup != nil {
-		s.mem = sdm.New(*cfg.Cleanup)
-		if s.mem.Dim() != cfg.Dim {
-			return nil, fmt.Errorf("serve: cleanup memory dimension %d, server %d", s.mem.Dim(), cfg.Dim)
-		}
-	}
 	s.snap.Store(s.buildSnapshotLocked(nil, nil))
 	return s, nil
 }
@@ -361,89 +342,32 @@ type Sample struct {
 	HV    *bitvec.Vector
 }
 
-// Pair is one encoded regression pair (sample hypervector, label value).
-// The label is encoded through the server's label encoder at apply time.
-type Pair struct {
-	X     *bitvec.Vector
-	Value float64
-}
-
-// MemWrite is one SDM cleanup-memory write.
-type MemWrite struct {
-	Address *bitvec.Vector
-	Data    *bitvec.Vector
-}
-
-// Refine requests perceptron-style retraining epochs over a working set as
-// part of a batch: each misclassified sample moves from the (globally)
-// predicted class accumulator to its true one.
-type Refine struct {
-	HVs    []*bitvec.Vector
-	Labels []int
-	Epochs int
-}
+// maxSymbolLen bounds an item symbol's length in bytes. validate refuses a
+// longer symbol, and Restore refuses one in a snapshot or checkpoint, so
+// every symbol a server acknowledges can be checkpointed and reloaded.
+const maxSymbolLen = 1 << 20
 
 // Batch is one atomic unit of writes. ApplyBatch validates everything
 // before mutating anything, so a rejected batch leaves the server exactly
 // as it was.
 type Batch struct {
-	Train   []Sample   // classifier additions
-	Untrain []Sample   // classifier removals (exact inverse of Train)
-	Pairs   []Pair     // regression pairs (requires Config.Labels)
-	Items   []string   // item-memory membership churn: symbols to intern
-	Writes  []MemWrite // SDM writes (requires Config.Cleanup)
-	Refine  *Refine    // optional retraining pass, applied after Train
+	Train []Sample // classifier additions
+	Items []string // item-memory membership churn: symbols to intern
 }
 
 // validate checks the batch against the server shape without mutating.
 func (s *Server) validate(b *Batch) error {
-	checkSamples := func(kind string, samples []Sample) error {
-		for i, smp := range samples {
-			if smp.Class < 0 || smp.Class >= s.cfg.Classes {
-				return fmt.Errorf("serve: %s[%d] class %d outside [0,%d)", kind, i, smp.Class, s.cfg.Classes)
-			}
-			if smp.HV == nil || smp.HV.Dim() != s.cfg.Dim {
-				return fmt.Errorf("serve: %s[%d] has wrong dimension", kind, i)
-			}
+	for i, smp := range b.Train {
+		if smp.Class < 0 || smp.Class >= s.cfg.Classes {
+			return fmt.Errorf("serve: train[%d] class %d outside [0,%d)", i, smp.Class, s.cfg.Classes)
 		}
-		return nil
-	}
-	if err := checkSamples("train", b.Train); err != nil {
-		return err
-	}
-	if err := checkSamples("untrain", b.Untrain); err != nil {
-		return err
-	}
-	if len(b.Pairs) > 0 && s.reg == nil {
-		return errors.New("serve: regression pairs but no label encoder configured")
-	}
-	for i, p := range b.Pairs {
-		if p.X == nil || p.X.Dim() != s.cfg.Dim {
-			return fmt.Errorf("serve: pair[%d] has wrong dimension", i)
+		if smp.HV == nil || smp.HV.Dim() != s.cfg.Dim {
+			return fmt.Errorf("serve: train[%d] has wrong dimension", i)
 		}
 	}
-	if len(b.Writes) > 0 && s.mem == nil {
-		return errors.New("serve: cleanup writes but no cleanup memory configured")
-	}
-	for i, w := range b.Writes {
-		if w.Address == nil || w.Address.Dim() != s.cfg.Dim || w.Data == nil || w.Data.Dim() != s.cfg.Dim {
-			return fmt.Errorf("serve: write[%d] has wrong dimension", i)
-		}
-	}
-	if r := b.Refine; r != nil {
-		if len(r.HVs) != len(r.Labels) {
-			return fmt.Errorf("serve: refine has %d samples but %d labels", len(r.HVs), len(r.Labels))
-		}
-		if r.Epochs < 0 {
-			return fmt.Errorf("serve: refine epochs must be non-negative, got %d", r.Epochs)
-		}
-		for i, hv := range r.HVs {
-			if hv == nil || hv.Dim() != s.cfg.Dim {
-				return fmt.Errorf("serve: refine sample %d has wrong dimension", i)
-			}
-			if r.Labels[i] < 0 || r.Labels[i] >= s.cfg.Classes {
-				return fmt.Errorf("serve: refine label %d outside [0,%d)", r.Labels[i], s.cfg.Classes)
-			}
+	for i, sym := range b.Items {
+		if len(sym) > maxSymbolLen {
+			return fmt.Errorf("serve: item[%d] is %d bytes, longer than %d", i, len(sym), maxSymbolLen)
 		}
 	}
 	return nil
@@ -495,7 +419,7 @@ func (s *Server) ApplyBatchContext(ctx context.Context, b Batch) (*Snapshot, err
 		return nil, err
 	}
 	if s.wal != nil {
-		if _, err := s.wal.Append(encodeBatch(&b, s.cfg.Dim)); err != nil {
+		if _, err := s.wal.Append(encodeBatch(&b)); err != nil {
 			s.degradeLocked(err)
 			return nil, fmt.Errorf("%w: %w: write-ahead append: %w", ErrDegraded, ErrWALFailed, err)
 		}
@@ -643,32 +567,19 @@ func (s *Server) applyLocked(b *Batch) (*Snapshot, error) {
 	dirtyCls := make([]bool, len(s.shards))
 	dirtyItems := make([]bool, len(s.shards))
 
-	// Classifier train/untrain, grouped by shard so the pool can fan the
+	// Classifier training, grouped by shard so the pool can fan the
 	// accumulator updates out with each shard owned by exactly one worker
 	// (bit-identical to sequential application — integer adds commute).
-	type upd struct {
-		local int
-		hv    *bitvec.Vector
-		sub   bool
+	byShard := make([][]Sample, len(s.shards))
+	for _, smp := range b.Train {
+		sh := s.shardOf[smp.Class]
+		byShard[sh] = append(byShard[sh], smp)
+		dirtyCls[sh] = true
 	}
-	byShard := make([][]upd, len(s.shards))
-	route := func(samples []Sample, sub bool) {
-		for _, smp := range samples {
-			sh := s.shardOf[smp.Class]
-			byShard[sh] = append(byShard[sh], upd{local: s.shards[sh].local[smp.Class], hv: smp.HV, sub: sub})
-			dirtyCls[sh] = true
-		}
-	}
-	route(b.Train, false)
-	route(b.Untrain, true)
 	s.pool.ForEach(len(s.shards), func(sh int) {
 		st := s.shards[sh]
-		for _, u := range byShard[sh] {
-			if u.sub {
-				st.cls.Sub(u.local, u.hv)
-			} else {
-				st.cls.Add(u.local, u.hv)
-			}
+		for _, smp := range byShard[sh] {
+			st.cls.Add(st.local[smp.Class], smp.HV)
 		}
 	})
 	s.samples += uint64(len(b.Train))
@@ -688,65 +599,11 @@ func (s *Server) applyLocked(b *Batch) (*Snapshot, error) {
 		}
 	}
 
-	// Regression pairs.
-	for _, p := range b.Pairs {
-		s.reg.Add(p.X, s.cfg.Labels.Encode(p.Value))
-	}
-	s.pairs += uint64(len(b.Pairs))
-
-	// SDM writes go to a fresh fork so every published snapshot keeps an
-	// immutable cleanup-memory generation (copy-on-write: only the counters
-	// this batch's writes activate are cloned).
-	if len(b.Writes) > 0 {
-		s.mem = s.mem.Fork()
-		for _, w := range b.Writes {
-			s.mem.Write(w.Address, w.Data)
-		}
-	}
-
-	// Refinement, after the batch's own additions (global predictions:
-	// a misclassified sample is moved out of the class the WHOLE model
-	// predicts, which may live on another shard).
-	if b.Refine != nil && len(b.Refine.HVs) > 0 {
-		s.refineLocked(b.Refine, dirtyCls)
-	}
-
 	s.version++
 	snap := s.buildSnapshotLocked(dirtyCls, dirtyItems)
 	s.snap.Store(snap)
 	s.notifyApplied()
 	return snap, nil
-}
-
-// refineLocked runs the refinement epochs under the writer lock. Epoch
-// structure mirrors model.Classifier.Refine: predictions within an epoch
-// all use the epoch-start prototypes, then the accumulator moves apply in
-// sample order. dirtyCls accumulates every shard the batch has touched so
-// far, so each epoch's view only re-finalizes those and shares the rest
-// from the published snapshot.
-func (s *Server) refineLocked(r *Refine, dirtyCls []bool) {
-	for e := 0; e < r.Epochs; e++ {
-		view := s.buildSnapshotLocked(dirtyCls, nil) // finalized epoch-start prototypes
-		n := 0
-		preds := make([]int, len(r.HVs))
-		s.pool.ForEach(len(r.HVs), func(i int) {
-			preds[i], _ = view.Predict(r.HVs[i])
-		})
-		for i, hv := range r.HVs {
-			label := r.Labels[i]
-			if preds[i] == label {
-				continue
-			}
-			lsh, psh := s.shardOf[label], s.shardOf[preds[i]]
-			s.shards[lsh].cls.Add(s.shards[lsh].local[label], hv)
-			s.shards[psh].cls.Sub(s.shards[psh].local[preds[i]], hv)
-			dirtyCls[lsh], dirtyCls[psh] = true, true
-			n++
-		}
-		if n == 0 {
-			break
-		}
-	}
 }
 
 // buildSnapshotLocked assembles the next snapshot under the writer lock.
@@ -762,10 +619,7 @@ func (s *Server) buildSnapshotLocked(dirtyCls, dirtyItems []bool) *Snapshot {
 		classes: s.cfg.Classes,
 		shardOf: s.shardOf,
 		shards:  make([]shardView, len(s.shards)),
-		labels:  s.cfg.Labels,
-		mem:     s.mem,
 		samples: s.samples,
-		pairs:   s.pairs,
 		items:   s.nitems,
 	}
 	s.pool.ForEach(len(s.shards), func(i int) {
@@ -813,9 +667,6 @@ func (s *Server) buildSnapshotLocked(dirtyCls, dirtyItems []bool) *Snapshot {
 		}
 		snap.shards[i] = view
 	})
-	if s.reg != nil && s.pairs > 0 {
-		snap.reg = s.reg.Model()
-	}
 	return snap
 }
 
@@ -843,20 +694,6 @@ func (s *Server) Lookup(q *bitvec.Vector) (symbol string, sim float64, ok bool) 
 	return s.Snapshot().Lookup(q)
 }
 
-// PredictValue decodes a regression prediction against the current
-// snapshot.
-func (s *Server) PredictValue(q *bitvec.Vector) (value float64, ok bool) {
-	s.reads.Add(1)
-	return s.Snapshot().PredictValue(q)
-}
-
-// Cleanup reads the SDM cleanup memory of the current snapshot,
-// iterating at most maxIters times.
-func (s *Server) Cleanup(q *bitvec.Vector, maxIters int) (word *bitvec.Vector, iters int, ok bool) {
-	s.reads.Add(1)
-	return s.Snapshot().Cleanup(q, maxIters)
-}
-
 // CountReads adds n to the served-reads counter. Front ends that read
 // through a held Snapshot (to keep one consistent version per request)
 // rather than the Server convenience methods use this to keep the stats
@@ -875,12 +712,8 @@ type Stats struct {
 	Shards      int    `json:"shards"`
 	Workers     int    `json:"workers"`
 	Samples     uint64 `json:"samples"`
-	Pairs       uint64 `json:"pairs"`
 	Items       int    `json:"items"`
 	ReadsServed uint64 `json:"reads_served"`
-	MemWrites   int    `json:"mem_writes"`
-	Regression  bool   `json:"regression"`
-	HasCleanup  bool   `json:"cleanup"`
 	// Durable reports whether a write-ahead log backs this server, and
 	// LastCheckpoint the newest durable checkpoint version (0 when none
 	// has been taken yet).
@@ -921,14 +754,8 @@ func (s *Server) Stats() Stats {
 		Shards:      len(s.shards),
 		Workers:     s.pool.Workers(),
 		Samples:     snap.samples,
-		Pairs:       snap.pairs,
 		Items:       snap.items,
 		ReadsServed: s.reads.Load(),
-		Regression:  s.cfg.Labels != nil,
-		HasCleanup:  snap.mem != nil,
-	}
-	if snap.mem != nil {
-		st.MemWrites = snap.mem.Writes()
 	}
 	// The log handle is read under mu: recovery swaps it for a fresh one
 	// when a degraded server heals.

@@ -5,11 +5,9 @@ import (
 	"testing"
 
 	"hdcirc/internal/bitvec"
-	"hdcirc/internal/core"
 	"hdcirc/internal/embed"
 	"hdcirc/internal/model"
 	"hdcirc/internal/rng"
-	"hdcirc/internal/sdm"
 )
 
 const (
@@ -64,11 +62,6 @@ func TestNewServerValidation(t *testing.T) {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
-	// Mismatched label-encoder dimension.
-	labels := embed.NewScalarEncoder(core.Config{Kind: core.KindLevel, M: 8, D: 128}.Build(rng.New(1)), 0, 7)
-	if _, err := NewServer(Config{Dim: 64, Classes: 2, Labels: labels}); err == nil {
-		t.Error("label encoder with wrong dimension accepted")
-	}
 }
 
 // TestSnapshotMatchesSequentialModel trains through ApplyBatch and checks
@@ -114,59 +107,6 @@ func TestSnapshotMatchesSequentialModel(t *testing.T) {
 						t.Fatalf("shards=%d v%d query %d: score %d differs", shards, snap.Version(), qi, c)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestUntrainInvertsTrain applies a batch and its inverse and expects the
-// original prototypes back.
-func TestUntrainInvertsTrain(t *testing.T) {
-	s := mustServer(t, testConfig(3))
-	base := randomSamples(30, 5)
-	snap1, err := s.ApplyBatch(Batch{Train: base})
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra := randomSamples(10, 6)
-	if _, err := s.ApplyBatch(Batch{Train: extra}); err != nil {
-		t.Fatal(err)
-	}
-	snap3, err := s.ApplyBatch(Batch{Untrain: extra})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < testClasses; c++ {
-		if !snap3.ClassVector(c).Equal(snap1.ClassVector(c)) {
-			t.Fatalf("prototype %d not restored after Untrain", c)
-		}
-	}
-}
-
-// TestRefineMatchesAcrossShardCounts runs the same train+refine workload
-// on 1-shard and 4-shard servers: global refinement must produce identical
-// prototypes because predictions and tie vectors are shard-independent.
-func TestRefineMatchesAcrossShardCounts(t *testing.T) {
-	train := randomSamples(60, 11)
-	hvs := make([]*bitvec.Vector, len(train))
-	labels := make([]int, len(train))
-	for i, smp := range train {
-		hvs[i], labels[i] = smp.HV, smp.Class
-	}
-	var first *Snapshot
-	for _, shards := range []int{1, 4} {
-		s := mustServer(t, testConfig(shards))
-		snap, err := s.ApplyBatch(Batch{Train: train, Refine: &Refine{HVs: hvs, Labels: labels, Epochs: 5}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = snap
-			continue
-		}
-		for c := 0; c < testClasses; c++ {
-			if !snap.ClassVector(c).Equal(first.ClassVector(c)) {
-				t.Fatalf("refined prototype %d differs between 1 and %d shards", c, shards)
 			}
 		}
 	}
@@ -222,86 +162,6 @@ func TestItemsAndLookup(t *testing.T) {
 	}
 }
 
-// TestRegression trains pairs through the server and decodes them back.
-func TestRegression(t *testing.T) {
-	cfg := testConfig(2)
-	labelSet := core.Config{Kind: core.KindLevel, M: 32, D: cfg.Dim}.Build(rng.Sub(cfg.Seed, "test/labels"))
-	cfg.Labels = embed.NewScalarEncoder(labelSet, 0, 31)
-	s := mustServer(t, cfg)
-
-	// Uncorrelated sample encodings keep the memorized pairs
-	// quasi-orthogonal so the unbind-decode recall is clean.
-	sampleSet := core.Config{Kind: core.KindRandom, M: 32, D: cfg.Dim}.Build(rng.Sub(cfg.Seed, "test/samples"))
-	enc := embed.NewScalarEncoder(sampleSet, 0, 31)
-
-	if _, ok := s.Snapshot().PredictValue(enc.Encode(3)); ok {
-		t.Error("untrained regressor claimed a prediction")
-	}
-	var batch Batch
-	for x := 0; x < 32; x += 2 {
-		batch.Pairs = append(batch.Pairs, Pair{X: enc.Encode(float64(x)), Value: float64(x)})
-	}
-	snap, err := s.ApplyBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Pairs() != uint64(len(batch.Pairs)) {
-		t.Fatalf("pairs = %d", snap.Pairs())
-	}
-	got, ok := snap.PredictValue(enc.Encode(10))
-	if !ok {
-		t.Fatal("trained regressor returned !ok")
-	}
-	if got < 6 || got > 14 {
-		t.Errorf("decode(10) = %v, want ≈10", got)
-	}
-}
-
-// TestCleanupMemory writes through the server and reads back through the
-// snapshot, checking the COW generations isolate published snapshots.
-func TestCleanupMemory(t *testing.T) {
-	cfg := testConfig(2)
-	mc := sdm.DefaultConfig(cfg.Dim)
-	mc.Locations = 2000
-	cfg.Cleanup = &mc
-	s := mustServer(t, cfg)
-
-	src := rng.New(9)
-	stored := make([]*bitvec.Vector, 6)
-	var b Batch
-	for i := range stored {
-		stored[i] = bitvec.Random(cfg.Dim, src)
-		b.Writes = append(b.Writes, MemWrite{Address: stored[i], Data: stored[i]})
-	}
-	snapA, err := s.ApplyBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	readsA := make([]*bitvec.Vector, len(stored))
-	for i, v := range stored {
-		got, _, ok := snapA.Cleanup(v, 4)
-		if !ok {
-			t.Fatalf("cleanup read %d failed", i)
-		}
-		readsA[i] = got
-	}
-	// A second generation of writes must not disturb snapshot A.
-	var b2 Batch
-	for i := 0; i < 20; i++ {
-		v := bitvec.Random(cfg.Dim, src)
-		b2.Writes = append(b2.Writes, MemWrite{Address: v, Data: v})
-	}
-	if _, err := s.ApplyBatch(b2); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range stored {
-		got, _, ok := snapA.Cleanup(v, 4)
-		if !ok || !got.Equal(readsA[i]) {
-			t.Fatalf("snapshot A cleanup read %d changed after later writes", i)
-		}
-	}
-}
-
 // TestApplyBatchValidation checks a rejected batch mutates nothing.
 func TestApplyBatchValidation(t *testing.T) {
 	s := mustServer(t, testConfig(2))
@@ -316,11 +176,6 @@ func TestApplyBatchValidation(t *testing.T) {
 		{Train: []Sample{{Class: -1, HV: bitvec.Random(testDim, src)}}},
 		{Train: []Sample{{Class: 0, HV: bitvec.Random(64, src)}}},
 		{Train: []Sample{{Class: 0, HV: nil}}},
-		{Pairs: []Pair{{X: bitvec.Random(testDim, src), Value: 1}}},                                     // no label encoder
-		{Writes: []MemWrite{{Address: bitvec.Random(testDim, src), Data: bitvec.Random(testDim, src)}}}, // no cleanup
-		{Refine: &Refine{HVs: []*bitvec.Vector{bitvec.Random(testDim, src)}, Labels: []int{0, 1}, Epochs: 1}},
-		{Refine: &Refine{HVs: []*bitvec.Vector{bitvec.Random(testDim, src)}, Labels: []int{testClasses}, Epochs: 1}},
-		{Refine: &Refine{HVs: []*bitvec.Vector{bitvec.Random(testDim, src)}, Labels: []int{0}, Epochs: -1}},
 	}
 	for i, b := range bad {
 		if _, err := s.ApplyBatch(b); err == nil {
@@ -398,16 +253,10 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 // fresh server from it: every read surface must be bit-identical.
 func TestPersistRoundTrip(t *testing.T) {
 	cfg := testConfig(3)
-	labelSet := core.Config{Kind: core.KindLevel, M: 16, D: cfg.Dim}.Build(rng.Sub(cfg.Seed, "test/labels"))
-	cfg.Labels = embed.NewScalarEncoder(labelSet, 0, 15)
 	a := mustServer(t, cfg)
 	var b Batch
 	b.Train = randomSamples(50, 51)
 	b.Items = []string{"one", "two", "three"}
-	src := rng.New(52)
-	for i := 0; i < 10; i++ {
-		b.Pairs = append(b.Pairs, Pair{X: bitvec.Random(cfg.Dim, src), Value: float64(i)})
-	}
 	snapA, err := a.ApplyBatch(b)
 	if err != nil {
 		t.Fatal(err)
@@ -423,30 +272,21 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapB := fresh.Snapshot()
-	if snapB.Version() != snapA.Version() || snapB.Samples() != snapA.Samples() ||
-		snapB.Pairs() != snapA.Pairs() || snapB.NumItems() != snapA.NumItems() {
-		t.Fatalf("restored counters differ: %d/%d/%d/%d vs %d/%d/%d/%d",
-			snapB.Version(), snapB.Samples(), snapB.Pairs(), snapB.NumItems(),
-			snapA.Version(), snapA.Samples(), snapA.Pairs(), snapA.NumItems())
+	if snapB.Version() != snapA.Version() || snapB.Samples() != snapA.Samples() || snapB.NumItems() != snapA.NumItems() {
+		t.Fatalf("restored counters differ: %d/%d/%d vs %d/%d/%d",
+			snapB.Version(), snapB.Samples(), snapB.NumItems(),
+			snapA.Version(), snapA.Samples(), snapA.NumItems())
 	}
 	for c := 0; c < cfg.Classes; c++ {
 		if !snapB.ClassVector(c).Equal(snapA.ClassVector(c)) {
 			t.Fatalf("restored prototype %d differs", c)
 		}
 	}
-	if !snapB.RegressorModel().Equal(snapA.RegressorModel()) {
-		t.Fatal("restored regressor model differs")
-	}
 	for qi, q := range randomSamples(16, 53) {
 		ac, ad := snapA.Predict(q.HV)
 		bc, bd := snapB.Predict(q.HV)
 		if ac != bc || ad != bd {
 			t.Fatalf("query %d: restored predict differs", qi)
-		}
-		av, _ := snapA.PredictValue(q.HV)
-		bv, _ := snapB.PredictValue(q.HV)
-		if av != bv {
-			t.Fatalf("query %d: restored regression differs", qi)
 		}
 		as, _, aok := snapA.Lookup(q.HV)
 		bs, _, bok := snapB.Lookup(q.HV)

@@ -5,9 +5,7 @@ import (
 
 	"hdcirc/internal/batch"
 	"hdcirc/internal/bitvec"
-	"hdcirc/internal/embed"
 	"hdcirc/internal/index"
-	"hdcirc/internal/sdm"
 )
 
 // shardView is one shard's frozen contribution to a snapshot: finalized
@@ -35,11 +33,7 @@ type Snapshot struct {
 	classes int
 	shardOf []int // global class id → shard (shared, fixed at server birth)
 	shards  []shardView
-	reg     *bitvec.Vector       // finalized regressor model; nil until pairs exist
-	labels  *embed.ScalarEncoder // label decoder; nil when regression disabled
-	mem     *sdm.Memory          // frozen cleanup-memory generation; nil when disabled
 	samples uint64
-	pairs   uint64
 	items   int
 }
 
@@ -55,9 +49,6 @@ func (s *Snapshot) Classes() int { return s.classes }
 
 // Samples returns the cumulative number of classifier training samples.
 func (s *Snapshot) Samples() uint64 { return s.samples }
-
-// Pairs returns the cumulative number of regression pairs.
-func (s *Snapshot) Pairs() uint64 { return s.pairs }
 
 // NumItems returns the number of interned item symbols.
 func (s *Snapshot) NumItems() int { return s.items }
@@ -201,32 +192,4 @@ func (s *Snapshot) Item(symbol string) (hv *bitvec.Vector, ok bool) {
 		}
 	}
 	return nil, false
-}
-
-// PredictValue decodes the regression prediction for an encoded sample
-// against the label encoder: the fused unbind-then-decode step on the
-// snapshot's finalized regressor model. ok is false when regression is
-// disabled or no pairs have been learned.
-func (s *Snapshot) PredictValue(q *bitvec.Vector) (value float64, ok bool) {
-	if s.reg == nil || s.labels == nil {
-		return 0, false
-	}
-	return s.labels.DecodeBound(s.reg, q), true
-}
-
-// RegressorModel returns the finalized regression model hypervector, or
-// nil when regression is disabled or untrained.
-func (s *Snapshot) RegressorModel() *bitvec.Vector { return s.reg }
-
-// Cleanup reads the snapshot's cleanup-memory generation, iterating reads
-// to a fixed point (at most maxIters). ok is false when the memory is
-// disabled or no hard location activates.
-func (s *Snapshot) Cleanup(q *bitvec.Vector, maxIters int) (word *bitvec.Vector, iters int, ok bool) {
-	if s.mem == nil {
-		return nil, 0, false
-	}
-	if maxIters < 1 {
-		maxIters = 1
-	}
-	return s.mem.ReadIterative(q, maxIters)
 }

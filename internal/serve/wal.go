@@ -8,20 +8,22 @@ package serve
 // the recovered snapshot is bit-identical to the pre-crash one.
 //
 // Checkpoints bound recovery cost: a checkpoint file persists the portable
-// snapshot (the existing HSRV stream, which embeds the HCLS/HREG model
-// wire formats) PLUS the exact training state — per-class integer
-// accumulators, the regressor accumulator and the written SDM counters.
-// The exact sections are what keep checkpointed recovery bit-identical:
-// the HSRV stream alone re-seeds accumulators at unit weight, which
-// predicts identically but would diverge once the replayed log suffix
-// keeps training. Once a checkpoint at version C is durable, every log
-// segment fully below C is dropped, so recovery reads one checkpoint plus
-// the log suffix instead of the whole history.
+// snapshot (the existing HSRV stream, which embeds the HCLS model wire
+// format) PLUS the exact training state, the per-class integer
+// accumulators. The exact sections are what keep checkpointed recovery
+// bit-identical: the HSRV stream alone re-seeds accumulators at unit
+// weight, which predicts identically but would diverge once the replayed
+// log suffix keeps training. Once a checkpoint at version C is durable,
+// every log segment fully below C is dropped, so recovery reads one
+// checkpoint plus the log suffix instead of the whole history.
 //
 //	checkpoint: magic "HCKP" | uint32 format | uint64 dim | uint32 classes
-//	            | uint32 shards | uint8 flags | HSRV snapshot stream
+//	            | uint32 shards | uint8 flags (0) | HSRV snapshot stream
 //	            | per shard: uint8 hasClassifier [HCST classifier state]
-//	            | [HRST regressor state] | [HSDM cleanup-memory state]
+//
+// The flags byte once announced regression and cleanup-memory sections,
+// state the server no longer hosts. It is written as zero and a nonzero
+// one is refused, like the zero slots of the batch codec below.
 //
 // Log record sequence numbers equal snapshot versions: record N is the
 // batch whose application published version N.
@@ -58,9 +60,6 @@ const (
 	ckptFormat = 1
 	ckptPrefix = "ckpt-"
 	ckptExt    = ".hckp"
-
-	flagCkptRegressor = 1 << 0
-	flagCkptCleanup   = 1 << 1
 )
 
 // ckptCRCTable checksums whole checkpoint files (Castagnoli, matching the
@@ -70,9 +69,10 @@ var ckptCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // errCkptCorrupt marks a checkpoint whose BYTES are damaged (short file,
 // CRC mismatch, foreign magic/format). Only these are set aside so
 // recovery can fall back to an older checkpoint; every other load failure
-// — a dimension/class/shard mismatch, a missing label encoder — means the
-// server was opened with the wrong config, and destroying the recovery
-// set over operator input would be unforgivable: those abort Open intact.
+// — a dimension/class/shard mismatch, state this server does not host —
+// means the server was opened with the wrong config or the wrong build,
+// and destroying the recovery set over operator input would be
+// unforgivable: those abort Open intact.
 var errCkptCorrupt = errors.New("serve: checkpoint corrupt")
 
 // WALConfig enables durable serving: every applied batch is written ahead
@@ -380,12 +380,8 @@ func loadCheckpointBytes(s *Server, raw []byte) error {
 	if sh := binary.LittleEndian.Uint32(header[20:]); sh != uint32(len(s.shards)) {
 		return fmt.Errorf("serve: checkpoint has %d shards, server %d", sh, len(s.shards))
 	}
-	flags := header[24]
-	if flags&flagCkptRegressor != 0 && s.reg == nil {
-		return errors.New("serve: checkpoint carries a regressor but the server has no label encoder")
-	}
-	if flags&flagCkptCleanup != 0 && s.mem == nil {
-		return errors.New("serve: checkpoint carries a cleanup memory but the server has none")
+	if flags := header[24]; flags != 0 {
+		return fmt.Errorf("serve: checkpoint flags %#x announce regression or cleanup-memory state, which the server does not host", flags)
 	}
 
 	// The portable snapshot section re-creates version, counters, item
@@ -412,17 +408,6 @@ func loadCheckpointBytes(s *Server, raw []byte) error {
 			}
 		default:
 			return fmt.Errorf("serve: checkpoint shard %d classifier presence disagrees with server layout", i)
-		}
-	}
-	if flags&flagCkptRegressor != 0 {
-		if err := s.reg.RestoreStateFrom(r); err != nil {
-			return fmt.Errorf("serve: regressor state: %w", err)
-		}
-	}
-	if flags&flagCkptCleanup != 0 {
-		mem := s.mem
-		if err := mem.RestoreStateFrom(r); err != nil {
-			return fmt.Errorf("serve: cleanup-memory state: %w", err)
 		}
 	}
 	s.snap.Store(s.buildSnapshotLocked(nil, nil))
@@ -524,12 +509,6 @@ func (s *Server) EncodeCheckpoint() (version uint64, data []byte, err error) {
 	binary.LittleEndian.PutUint64(header[8:], uint64(s.cfg.Dim))
 	binary.LittleEndian.PutUint32(header[16:], uint32(s.cfg.Classes))
 	binary.LittleEndian.PutUint32(header[20:], uint32(len(s.shards)))
-	if s.reg != nil {
-		header[24] |= flagCkptRegressor
-	}
-	if s.mem != nil {
-		header[24] |= flagCkptCleanup
-	}
 	buf.Write(header)
 
 	snap := s.snap.Load()
@@ -544,16 +523,6 @@ func (s *Server) EncodeCheckpoint() (version uint64, data []byte, err error) {
 		buf.WriteByte(1)
 		if _, err := st.cls.WriteStateTo(&buf); err != nil {
 			return 0, nil, fmt.Errorf("serve: encoding shard %d state: %w", i, err)
-		}
-	}
-	if s.reg != nil {
-		if _, err := s.reg.WriteStateTo(&buf); err != nil {
-			return 0, nil, fmt.Errorf("serve: encoding regressor state: %w", err)
-		}
-	}
-	if s.mem != nil {
-		if _, err := s.mem.WriteStateTo(&buf); err != nil {
-			return 0, nil, fmt.Errorf("serve: encoding cleanup-memory state: %w", err)
 		}
 	}
 	crc := crc32.Checksum(buf.Bytes(), ckptCRCTable)
@@ -623,14 +592,19 @@ func (s *Server) Close() error {
 // the dimension being fixed by the server config the log belongs to):
 //
 //	uint32 nTrain   | nTrain   × (uint32 class | words)
-//	uint32 nUntrain | nUntrain × (uint32 class | words)
-//	uint32 nPairs   | nPairs   × (uint64 IEEE-754 bits | words)
+//	uint32 nUntrain (0)
+//	uint32 nPairs   (0)
 //	uint32 nItems   | nItems   × (uint32 len | bytes)
-//	uint32 nWrites  | nWrites  × (address words | data words)
-//	uint8 hasRefine | [uint32 epochs | uint32 n | n × (uint32 label | words)]
+//	uint32 nWrites  (0)
+//	uint8 hasRefine (0)
+//
+// The four zero slots once framed un-training, regression pairs, SDM
+// writes and a refinement pass, write kinds the server no longer applies.
+// They are still written, so records keep their layout, and decodeBatch
+// refuses a record where any of them is nonzero.
 
 // encodeBatch serializes a validated batch for the write-ahead log.
-func encodeBatch(b *Batch, d int) []byte {
+func encodeBatch(b *Batch) []byte {
 	var buf bytes.Buffer
 	var u32 [4]byte
 	var u64 [8]byte
@@ -638,50 +612,24 @@ func encodeBatch(b *Batch, d int) []byte {
 		binary.LittleEndian.PutUint32(u32[:], uint32(n))
 		buf.Write(u32[:])
 	}
-	putVec := func(v *bitvec.Vector) {
-		for _, w := range v.Words() {
-			binary.LittleEndian.PutUint64(u64[:], w)
-			buf.Write(u64[:])
-		}
-	}
 
 	putN(len(b.Train))
 	for _, smp := range b.Train {
 		putN(smp.Class)
-		putVec(smp.HV)
+		for _, w := range smp.HV.Words() {
+			binary.LittleEndian.PutUint64(u64[:], w)
+			buf.Write(u64[:])
+		}
 	}
-	putN(len(b.Untrain))
-	for _, smp := range b.Untrain {
-		putN(smp.Class)
-		putVec(smp.HV)
-	}
-	putN(len(b.Pairs))
-	for _, p := range b.Pairs {
-		binary.LittleEndian.PutUint64(u64[:], math.Float64bits(p.Value))
-		buf.Write(u64[:])
-		putVec(p.X)
-	}
+	putN(0) // nUntrain
+	putN(0) // nPairs
 	putN(len(b.Items))
 	for _, sym := range b.Items {
 		putN(len(sym))
 		buf.WriteString(sym)
 	}
-	putN(len(b.Writes))
-	for _, w := range b.Writes {
-		putVec(w.Address)
-		putVec(w.Data)
-	}
-	if b.Refine == nil {
-		buf.WriteByte(0)
-	} else {
-		buf.WriteByte(1)
-		putN(b.Refine.Epochs)
-		putN(len(b.Refine.HVs))
-		for i, hv := range b.Refine.HVs {
-			putN(b.Refine.Labels[i])
-			putVec(hv)
-		}
-	}
+	putN(0)          // nWrites
+	buf.WriteByte(0) // hasRefine
 	return buf.Bytes()
 }
 
@@ -703,15 +651,6 @@ func (r *batchDecoder) u32() (uint32, error) {
 	return v, nil
 }
 
-func (r *batchDecoder) u64() (uint64, error) {
-	if r.off+8 > len(r.data) {
-		return 0, errors.New("serve: truncated batch payload")
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v, nil
-}
-
 // count reads an element count and sanity-bounds it by the bytes that
 // remain, so a corrupt count cannot drive a huge allocation.
 func (r *batchDecoder) count(minElemBytes int) (int, error) {
@@ -723,6 +662,21 @@ func (r *batchDecoder) count(minElemBytes int) (int, error) {
 		return 0, fmt.Errorf("serve: batch payload count %d exceeds remaining bytes", n)
 	}
 	return int(n), nil
+}
+
+// zero reads one of the removed write kinds' slots, width bytes wide, and
+// refuses the record unless it is zero.
+func (r *batchDecoder) zero(width int, what string) error {
+	if r.off+width > len(r.data) {
+		return errors.New("serve: truncated batch payload")
+	}
+	for _, c := range r.data[r.off : r.off+width] {
+		if c != 0 {
+			return fmt.Errorf("serve: batch payload carries %s, which the server does not apply", what)
+		}
+	}
+	r.off += width
+	return nil
 }
 
 func (r *batchDecoder) vec() (*bitvec.Vector, error) {
@@ -764,35 +718,11 @@ func decodeBatch(payload []byte, d int, dst *Batch) error {
 		}
 		dst.Train[i] = Sample{Class: int(class), HV: hv}
 	}
-	if n, err = r.count(4 + vecBytes); err != nil {
+	if err := r.zero(4, "untrain samples"); err != nil {
 		return err
 	}
-	dst.Untrain = make([]Sample, n)
-	for i := range dst.Untrain {
-		class, err := r.u32()
-		if err != nil {
-			return err
-		}
-		hv, err := r.vec()
-		if err != nil {
-			return err
-		}
-		dst.Untrain[i] = Sample{Class: int(class), HV: hv}
-	}
-	if n, err = r.count(8 + vecBytes); err != nil {
+	if err := r.zero(4, "regression pairs"); err != nil {
 		return err
-	}
-	dst.Pairs = make([]Pair, n)
-	for i := range dst.Pairs {
-		bits, err := r.u64()
-		if err != nil {
-			return err
-		}
-		x, err := r.vec()
-		if err != nil {
-			return err
-		}
-		dst.Pairs[i] = Pair{X: x, Value: math.Float64frombits(bits)}
 	}
 	if n, err = r.count(4); err != nil {
 		return err
@@ -809,51 +739,11 @@ func decodeBatch(payload []byte, d int, dst *Batch) error {
 		dst.Items[i] = string(r.data[r.off : r.off+l])
 		r.off += l
 	}
-	if n, err = r.count(2 * vecBytes); err != nil {
+	if err := r.zero(4, "cleanup-memory writes"); err != nil {
 		return err
 	}
-	dst.Writes = make([]MemWrite, n)
-	for i := range dst.Writes {
-		addr, err := r.vec()
-		if err != nil {
-			return err
-		}
-		data, err := r.vec()
-		if err != nil {
-			return err
-		}
-		dst.Writes[i] = MemWrite{Address: addr, Data: data}
-	}
-	if r.off >= len(r.data) {
-		return errors.New("serve: truncated batch payload")
-	}
-	hasRefine := r.data[r.off]
-	r.off++
-	dst.Refine = nil
-	if hasRefine == 1 {
-		epochs, err := r.u32()
-		if err != nil {
-			return err
-		}
-		if n, err = r.count(4 + vecBytes); err != nil {
-			return err
-		}
-		ref := &Refine{Epochs: int(epochs), HVs: make([]*bitvec.Vector, n), Labels: make([]int, n)}
-		for i := 0; i < n; i++ {
-			label, err := r.u32()
-			if err != nil {
-				return err
-			}
-			hv, err := r.vec()
-			if err != nil {
-				return err
-			}
-			ref.Labels[i] = int(label)
-			ref.HVs[i] = hv
-		}
-		dst.Refine = ref
-	} else if hasRefine != 0 {
-		return errors.New("serve: bad refine marker in batch payload")
+	if err := r.zero(1, "a refinement pass"); err != nil {
+		return err
 	}
 	if r.off != len(r.data) {
 		return errors.New("serve: trailing bytes in batch payload")

@@ -1,7 +1,7 @@
 package serve
 
 // Durability tests. The load-bearing one is the crash-recovery property
-// test: for a random op sequence over every write kind, kill the server at
+// test: for a random op sequence over both write kinds, kill the server at
 // any record boundary or mid-record (byte-level truncation of the log
 // tail) and require that Open recovers a snapshot bit-identical to a fresh
 // in-memory server replaying the surviving prefix sequentially — with and
@@ -9,65 +9,38 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"hdcirc/internal/bitvec"
-	"hdcirc/internal/core"
-	"hdcirc/internal/embed"
 	"hdcirc/internal/rng"
-	"hdcirc/internal/sdm"
+	"hdcirc/internal/wal"
 )
 
-// durableConfig is the full-surface fixture: several shards, regression
-// and cleanup memory enabled, so every batch kind flows through the log.
+// durableConfig is the durable fixture: several shards, so both write
+// kinds route across them and through the log.
 func durableConfig(dir string) Config {
 	cfg := Config{Dim: 384, Classes: 7, Shards: 3, Workers: 2, Seed: 1234}
-	labelSet := core.Config{Kind: core.KindLevel, M: 16, D: cfg.Dim}.Build(rng.Sub(cfg.Seed, "test/labels"))
-	cfg.Labels = embed.NewScalarEncoder(labelSet, 0, 15)
-	mc := sdm.Config{Dim: cfg.Dim, Locations: 300, Radius: activationTestRadius(cfg.Dim), Seed: 5}
-	cfg.Cleanup = &mc
 	if dir != "" {
 		cfg.WAL = &WALConfig{Dir: dir}
 	}
 	return cfg
 }
 
-// activationTestRadius keeps SDM activations sparse but non-empty at the
-// small test dimension.
-func activationTestRadius(d int) int { return d/2 - d/16 }
-
-// randomBatch draws one batch mixing every write kind, deterministically
-// from src.
+// randomBatch draws one batch of Train samples and item symbols,
+// deterministically from src. Either part may be empty.
 func randomBatch(cfg Config, src *rng.Stream) Batch {
 	var b Batch
 	for i, n := 0, int(src.Uint64()%4); i < n; i++ {
 		b.Train = append(b.Train, Sample{Class: int(src.Uint64() % uint64(cfg.Classes)), HV: bitvec.Random(cfg.Dim, src)})
 	}
-	if len(b.Train) > 1 && src.Uint64()%4 == 0 {
-		// Exact inverse of something just trained: exercises Untrain.
-		b.Untrain = append(b.Untrain, b.Train[0])
-	}
-	if src.Uint64()%3 == 0 {
-		b.Pairs = append(b.Pairs, Pair{X: bitvec.Random(cfg.Dim, src), Value: float64(src.Uint64() % 16)})
-	}
 	for i, n := 0, int(src.Uint64()%3); i < n; i++ {
 		b.Items = append(b.Items, fmt.Sprintf("item/%d", src.Uint64()%50))
-	}
-	if src.Uint64()%3 == 0 {
-		w := bitvec.Random(cfg.Dim, src)
-		b.Writes = append(b.Writes, MemWrite{Address: w, Data: w})
-	}
-	if src.Uint64()%5 == 0 {
-		ref := &Refine{Epochs: 1 + int(src.Uint64()%2)}
-		for i, n := 0, 1+int(src.Uint64()%3); i < n; i++ {
-			ref.HVs = append(ref.HVs, bitvec.Random(cfg.Dim, src))
-			ref.Labels = append(ref.Labels, int(src.Uint64()%uint64(cfg.Classes)))
-		}
-		b.Refine = ref
 	}
 	return b
 }
@@ -82,8 +55,8 @@ func snapshotBytes(t *testing.T, s *Snapshot) []byte {
 	return buf.Bytes()
 }
 
-// requireSameState asserts two servers are bit-identical: snapshot stream,
-// item lookups, and cleanup-memory reads.
+// requireSameState asserts two servers are bit-identical: snapshot stream
+// and item lookups.
 func requireSameState(t *testing.T, got, want *Server, probes []*bitvec.Vector) {
 	t.Helper()
 	gs, ws := got.Snapshot(), want.Snapshot()
@@ -98,16 +71,6 @@ func requireSameState(t *testing.T, got, want *Server, probes []*bitvec.Vector) 
 		wsym, wsim, wok := ws.Lookup(q)
 		if gsym != wsym || gsim != wsim || gok != wok {
 			t.Fatalf("probe %d: lookup (%q,%v,%v), want (%q,%v,%v)", i, gsym, gsim, gok, wsym, wsim, wok)
-		}
-		gw, gi, gok := gs.Cleanup(q, 3)
-		ww, wi, wok := ws.Cleanup(q, 3)
-		if gok != wok || gi != wi || (gok && !gw.Equal(ww)) {
-			t.Fatalf("probe %d: cleanup reads differ", i)
-		}
-		gv, gok2 := gs.PredictValue(q)
-		wv, wok2 := ws.PredictValue(q)
-		if gv != wv || gok2 != wok2 {
-			t.Fatalf("probe %d: regression (%v,%v), want (%v,%v)", i, gv, gok2, wv, wok2)
 		}
 	}
 }
@@ -190,7 +153,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				dir := t.TempDir()
 				cfg := durableConfig(dir)
 				cfg.WAL.CheckpointEvery = ckptEvery
-				cfg.WAL.SegmentBytes = 4096 // several segments per run
+				cfg.WAL.SegmentBytes = 2048 // several segments per run
 				src := rng.New(seed)
 				batches := make([]Batch, nBatches)
 				for i := range batches {
@@ -216,7 +179,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 
 					ccfg := durableConfig(crashDir)
 					ccfg.WAL.CheckpointEvery = ckptEvery
-					ccfg.WAL.SegmentBytes = 4096
+					ccfg.WAL.SegmentBytes = 2048
 					rec, err := Open(ccfg)
 					if err != nil {
 						t.Fatalf("trial %d: recovery failed: %v", trial, err)
@@ -301,7 +264,7 @@ func cutTail(t *testing.T, dir string, src *rng.Stream) {
 func TestCheckpointCompactionBoundsRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
-	cfg.WAL.SegmentBytes = 2048
+	cfg.WAL.SegmentBytes = 1024
 	cfg.WAL.CheckpointEvery = -1 // manual
 	src := rng.New(77)
 
@@ -504,7 +467,7 @@ func TestFallbackCheckpointSurvivesCompaction(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
 	cfg.WAL.CheckpointEvery = -1
-	cfg.WAL.SegmentBytes = 2048 // many small segments so compaction bites
+	cfg.WAL.SegmentBytes = 1024 // many small segments so compaction bites
 	src := rng.New(88)
 
 	s := mustOpen(t, cfg)
@@ -564,14 +527,12 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	src := rng.New(321)
 	for i := 0; i < 50; i++ {
 		b := randomBatch(cfg, src)
-		payload := encodeBatch(&b, cfg.Dim)
+		payload := encodeBatch(&b)
 		var got Batch
 		if err := decodeBatch(payload, cfg.Dim, &got); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		if len(got.Train) != len(b.Train) || len(got.Untrain) != len(b.Untrain) ||
-			len(got.Pairs) != len(b.Pairs) || len(got.Items) != len(b.Items) ||
-			len(got.Writes) != len(b.Writes) || (got.Refine == nil) != (b.Refine == nil) {
+		if len(got.Train) != len(b.Train) || len(got.Items) != len(b.Items) {
 			t.Fatalf("batch %d: shape mismatch after round trip", i)
 		}
 		for j := range b.Train {
@@ -579,24 +540,9 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 				t.Fatalf("batch %d: train %d mismatch", i, j)
 			}
 		}
-		for j := range b.Pairs {
-			if got.Pairs[j].Value != b.Pairs[j].Value || !got.Pairs[j].X.Equal(b.Pairs[j].X) {
-				t.Fatalf("batch %d: pair %d mismatch", i, j)
-			}
-		}
 		for j := range b.Items {
 			if got.Items[j] != b.Items[j] {
 				t.Fatalf("batch %d: item %d mismatch", i, j)
-			}
-		}
-		for j := range b.Writes {
-			if !got.Writes[j].Address.Equal(b.Writes[j].Address) || !got.Writes[j].Data.Equal(b.Writes[j].Data) {
-				t.Fatalf("batch %d: write %d mismatch", i, j)
-			}
-		}
-		if b.Refine != nil {
-			if got.Refine.Epochs != b.Refine.Epochs || len(got.Refine.HVs) != len(b.Refine.HVs) {
-				t.Fatalf("batch %d: refine mismatch", i)
 			}
 		}
 		// Truncations at every byte must error, never panic.
@@ -616,5 +562,142 @@ func TestDurableRestoreRejected(t *testing.T) {
 	if err := s.Restore(bytes.NewReader(nil)); err == nil ||
 		!strings.Contains(err.Error(), "durable") {
 		t.Fatalf("Restore on a durable server: %v", err)
+	}
+}
+
+// TestRemovedSlotsRefused: log records, snapshots and checkpoints keep the
+// zero slots of the write kinds the server no longer applies (un-training,
+// regression pairs, SDM writes, refinement). Input where one is nonzero is
+// refused, and a durable directory holding it aborts Open with nothing set
+// aside, so a correctly built server can still recover it.
+func TestRemovedSlotsRefused(t *testing.T) {
+	cfg := durableConfig("")
+	b := Batch{Train: []Sample{{Class: 2, HV: bitvec.Random(cfg.Dim, rng.New(8))}}, Items: []string{"sym"}}
+	payload := encodeBatch(&b)
+	train := 4 + 4 + 8*len(b.Train[0].HV.Words()) // nTrain + one sample
+	slots := map[string]int{
+		"untrain":   train,
+		"pairs":     train + 4,
+		"writes":    len(payload) - 5,
+		"hasRefine": len(payload) - 1,
+	}
+	for name, off := range slots {
+		bad := bytes.Clone(payload)
+		bad[off] = 1
+		var got Batch
+		if err := decodeBatch(bad, cfg.Dim, &got); err == nil || !strings.Contains(err.Error(), "does not apply") {
+			t.Errorf("payload with nonzero %s slot: %v", name, err)
+		}
+	}
+
+	// A replayed record with a nonzero slot aborts Open.
+	dir := t.TempDir()
+	s := mustOpen(t, durableConfig(dir))
+	if _, err := s.ApplyBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Clone(payload)
+	bad[slots["pairs"]] = 1
+	if _, err := log.Append(bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(durableConfig(dir)); err == nil || !strings.Contains(err.Error(), "does not apply") {
+		t.Fatalf("Open over a record with regression pairs: %v", err)
+	}
+
+	// Snapshot streams: the pairs count sits at byte 24, the flags at 32.
+	src := mustServer(t, cfg)
+	if _, err := src.ApplyBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	stream := snapshotBytes(t, src.Snapshot())
+	for _, off := range []int{24, 32} {
+		bad := bytes.Clone(stream)
+		bad[off] = 1
+		if err := mustServer(t, cfg).Restore(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "does not host") {
+			t.Errorf("snapshot with byte %d set: %v", off, err)
+		}
+	}
+
+	// Checkpoints: the HCKP flags byte at 24 and the embedded snapshot's
+	// pairs count and flags, with the CRC trailer made valid again.
+	for _, off := range []int{24, 25 + 24, 25 + 32} {
+		dir := t.TempDir()
+		s := mustOpen(t, durableConfig(dir))
+		if _, err := s.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		v, err := s.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, checkpointName(v))
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := raw[:len(raw)-4]
+		body[off] = 1
+		raw = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, ckptCRCTable))
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(durableConfig(dir)); err == nil || !strings.Contains(err.Error(), "does not host") {
+			t.Errorf("checkpoint with byte %d set: Open returned %v", off, err)
+		}
+		if aside, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.corrupt")); len(aside) != 0 {
+			t.Errorf("checkpoint with byte %d set was set aside as corrupt: %v", off, aside)
+		}
+		if err := mustServer(t, cfg).InstallCheckpoint(t.Context(), raw); err == nil || !strings.Contains(err.Error(), "does not host") {
+			t.Errorf("InstallCheckpoint with byte %d set: %v", off, err)
+		}
+	}
+}
+
+// TestSymbolLengthBound: every symbol ApplyBatch acknowledges must survive
+// a checkpoint and a reopen. One longer than maxSymbolLen is refused with
+// the version unchanged; one of exactly maxSymbolLen is checkpointed,
+// reopened and found.
+func TestSymbolLengthBound(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	cfg.WAL.CheckpointEvery = -1
+	s := mustOpen(t, cfg)
+	if _, err := s.ApplyBatch(Batch{Items: []string{strings.Repeat("x", maxSymbolLen+1)}}); err == nil {
+		t.Fatal("symbol of maxSymbolLen+1 bytes accepted")
+	}
+	if v := s.Snapshot().Version(); v != 0 {
+		t.Fatalf("refused batch moved the version to %d", v)
+	}
+	longest := strings.Repeat("y", maxSymbolLen)
+	if _, err := s.ApplyBatch(Batch{Items: []string{longest}}); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Checkpoint(); err != nil || v != 1 {
+		t.Fatalf("Checkpoint = %d, %v", v, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopening after a checkpoint holding a %d-byte symbol: %v", maxSymbolLen, err)
+	}
+	defer r.Close()
+	if _, ok := r.Snapshot().Item(longest); !ok {
+		t.Fatal("longest symbol lost across checkpoint and reopen")
 	}
 }
