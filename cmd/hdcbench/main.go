@@ -1,5 +1,6 @@
 // Command hdcbench measures the kernel hot paths — bind, distance,
-// accumulate, threshold, rotate, majority, nearest, predict, serve, the
+// accumulate, threshold, rotate, majority, the paper's record encoding and
+// level-basis construction, nearest, predict, serve, the
 // sketch-indexed lookups, the durability paths and the HTTP serving API
 // (protocol v1 through the client SDK) — and emits the ns/op numbers as JSON
 // (BENCH_kernels.json by default) so the performance trajectory can be
@@ -56,6 +57,7 @@ import (
 	"hdcirc/internal/batch"
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/cluster"
+	"hdcirc/internal/core"
 	"hdcirc/internal/embed"
 	"hdcirc/internal/httpapi"
 	"hdcirc/internal/index"
@@ -152,6 +154,17 @@ func main() {
 	for i := range nine {
 		nine[i] = bitvec.Random(*d, r)
 	}
+
+	// Paper-path fixtures: the Table 1 record (18 fields on one 24-level
+	// circular basis with r = 0.1) and the source of the level-basis row.
+	recEnc := embed.NewCircularEncoder(core.CircularSetR(24, *d, 0.1, rng.New(8)), 2*math.Pi)
+	record := embed.NewRecordEncoder(*d, 18, 9)
+	recFields := make([]embed.FieldEncoder, 18)
+	recValues := make([]float64, 18)
+	for i := range recFields {
+		recFields[i], recValues[i] = recEnc, float64(i)/3
+	}
+	basisSrc := rng.New(10)
 
 	cands := make([]*bitvec.Vector, 64)
 	for i := range cands {
@@ -496,6 +509,19 @@ func main() {
 		{"majority9_csa", 1, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = bitvec.Majority(nine, bitvec.TieZero, nil)
+			}
+		}},
+		{"encode_record", 1, func(b *testing.B) {
+			// One Table 1 sample: 18 key-bound fields bundled on the
+			// bit-sliced kernel.
+			for i := 0; i < b.N; i++ {
+				_ = record.EncodeRecord(recValues, recFields)
+			}
+		}},
+		{"basis_level512", 1, func(b *testing.B) {
+			// Algorithm 1 at the Mars Express anomaly basis size.
+			for i := 0; i < b.N; i++ {
+				_ = core.LevelSetR(512, *d, 0, basisSrc)
 			}
 		}},
 		{"nearest64", 1, func(b *testing.B) {

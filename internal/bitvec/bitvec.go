@@ -13,9 +13,12 @@
 //     hypervector bits make branches mispredict half the time.
 //   - Thresholding (Threshold, ThresholdTieVector) packs output words in
 //     registers with sign arithmetic, with a dedicated kernel per tie mode.
-//   - Majority over up to 64 operands runs a bit-sliced carry-save adder
-//     (majorityCSA) that counts all 64 positions of a word simultaneously
-//     and never materializes integer counters.
+//   - Majority and MajorityTieVector run one bit-sliced carry-save-adder
+//     kernel (majorityCSA) for any operand count: it counts all 64
+//     positions of a word at once into bits.Len(k) bit-planes and never
+//     materializes integer counters. Ties follow a TieBreak mode or a fixed
+//     tie vector, and per-operand keys can be XORed in the word loop — the
+//     record encoder's fused ⊕ᵢ Kᵢ ⊗ Vᵢ.
 //   - Rotation (RotateBits, Rotate) is two d-bit word shifts, O(d/64) for
 //     any dimension including non-multiples of 64.
 //   - Nearest-neighbor search (Nearest, NearestInto, NearestXor,

@@ -51,62 +51,97 @@ func (t TieBreak) String() string {
 	}
 }
 
-// csaMaxOperands bounds the carry-save-adder Majority fast path: per-position
-// counts up to 64 fit the seven bit-planes majorityCSA keeps in registers.
-const csaMaxOperands = 64
-
 // Majority bundles the operands with the element-wise majority rule and
 // returns the result: output bit i is 1 when more than half of the operands
 // have bit i set. Ties (possible only for an even operand count) are
 // resolved per tie; src may be nil unless tie == TieRandom. It panics on an
 // empty operand list or mismatched dimensions.
 //
-// Operand lists of up to 64 vectors take a bit-sliced carry-save-adder path
-// that counts all 64 positions of a word simultaneously and never
-// materializes integer counters; larger lists fall back to an Accumulator.
-// Both paths produce identical vectors and draw identical tie coins.
+// Any operand count runs on the bit-sliced carry-save-adder kernel
+// (majorityCSA), which counts all 64 positions of a word simultaneously and
+// never materializes integer counters. It is bit-identical to bundling
+// through an Accumulator and Threshold, tie coins included.
 func Majority(vs []*Vector, tie TieBreak, src Source) *Vector {
-	if len(vs) == 0 {
-		panic("bitvec: Majority of zero vectors")
-	}
-	d := vs[0].Dim()
-	for _, v := range vs[1:] {
-		if v.Dim() != d {
-			panic(fmt.Sprintf("bitvec: dimension mismatch %d vs %d", v.Dim(), d))
-		}
-	}
-	if len(vs) <= csaMaxOperands {
-		return majorityCSA(vs, tie, src)
-	}
-	acc := NewAccumulator(d)
-	for _, v := range vs {
-		acc.Add(v)
-	}
-	return acc.Threshold(tie, src)
-}
-
-// majorityCSA is the bit-sliced majority kernel. For every 64-bit word it
-// accumulates the operands into up to seven bit-planes (plane p holds bit p
-// of the per-position count) with a ripple carry-save adder, then compares
-// the bit-sliced counts against the majority threshold with a plane-wise
-// comparator — all in registers, O(words · operands) with no per-bit work.
-func majorityCSA(vs []*Vector, tie TieBreak, src Source) *Vector {
+	checkOperands(vs, nil)
 	if tie == TieRandom && src == nil {
 		panic("bitvec: TieRandom requires a random source")
 	}
-	k := len(vs)
 	out := New(vs[0].d)
+	majorityCSA(out, vs, nil, tie, src, nil)
+	return out
+}
+
+// MajorityTieVector bundles the bound operands keys[i] ⊗ vs[i] (vs[i]
+// itself when keys is nil) with the element-wise majority rule, resolving
+// tied positions to the bits of tv. It returns the same vector as adding
+// every bound operand to an Accumulator and calling ThresholdTieVector(tv),
+// without the counters or a bound intermediate: the binding is fused into
+// the kernel's word loop and the result is the only allocation. A fixed tie
+// vector keeps the bundle deterministic and safe for concurrent callers,
+// which is what the record encoder needs. It panics on an empty operand
+// list, a keys list of another length, or mismatched dimensions.
+func MajorityTieVector(vs, keys []*Vector, tv *Vector) *Vector {
+	checkOperands(vs, keys)
+	vs[0].mustMatch(tv)
+	out := New(vs[0].d)
+	majorityCSA(out, vs, keys, TieZero, nil, tv)
+	return out
+}
+
+// checkOperands panics unless vs is non-empty, keys is nil or as long as
+// vs, and every vector shares vs[0]'s dimension.
+func checkOperands(vs, keys []*Vector) {
+	if len(vs) == 0 {
+		panic("bitvec: Majority of zero vectors")
+	}
+	if keys != nil && len(keys) != len(vs) {
+		panic(fmt.Sprintf("bitvec: %d keys for %d operands", len(keys), len(vs)))
+	}
+	v0 := vs[0]
+	for _, v := range vs[1:] {
+		v0.mustMatch(v)
+	}
+	for _, k := range keys {
+		v0.mustMatch(k)
+	}
+}
+
+// majorityCSA is the bundling kernel. For every 64-bit word it counts the
+// operands (each XORed with its key when keys is non-nil) into bit-planes
+// with carry-save adders — plane p holds bit p of the per-position count,
+// and bits.Len(len(vs)) planes hold any count — then compares the
+// bit-sliced counts against the majority threshold with a plane-wise
+// comparator. That is O(words · operands · planes) word operations with no
+// per-bit work and no counters in memory. Operands enter two at a time
+// through a full adder on plane 0, the Harley–Seal step, so only one carry
+// per pair ripples up the planes. Tied positions take tv's bit when tv is
+// non-nil and are resolved per tie otherwise. The caller validates the
+// operands.
+func majorityCSA(out *Vector, vs, keys []*Vector, tie TieBreak, src Source, tv *Vector) {
+	k := len(vs)
 	thr := k / 2 // majority is count > thr; count == thr ties (even k only)
 	nPlanes := bits.Len(uint(k))
+	operand := func(i, wi int) uint64 {
+		if keys == nil {
+			return vs[i].words[wi]
+		}
+		return vs[i].words[wi] ^ keys[i].words[wi]
+	}
 	var coin uint64
 	coinLeft := 0
+	var planes [64]uint64
 	for wi := range out.words {
-		var planes [7]uint64
-		for _, v := range vs {
-			carry := v.words[wi]
-			for p := 0; carry != 0; p++ {
-				carry, planes[p] = planes[p]&carry, planes[p]^carry
-			}
+		clear(planes[:nPlanes])
+		i := 0
+		for ; i+1 < k; i += 2 {
+			a, b := operand(i, wi), operand(i+1, wi)
+			p0 := planes[0]
+			u := p0 ^ a
+			planes[0] = u ^ b
+			ripple(&planes, (p0&a)|(u&b), 1)
+		}
+		if i < k {
+			ripple(&planes, operand(i, wi), 0)
 		}
 		// Plane-wise comparison of the counts against thr, most significant
 		// plane first: gt collects positions already decided greater, eq
@@ -120,19 +155,21 @@ func majorityCSA(vs []*Vector, tie TieBreak, src Source) *Vector {
 			gt |= eq & planes[p] &^ tb
 			eq &= ^(planes[p] ^ tb)
 		}
+		// Positions past d count 0: never above thr, and tied only if thr
+		// is 0, that is for k = 1, which is odd and has no ties. So the
+		// tail of the last word stays clear.
 		word := gt
 		if k&1 == 0 {
 			ties := eq
-			if wi == len(out.words)-1 {
-				ties &= out.tailMask()
-			}
-			switch tie {
-			case TieOne:
+			switch {
+			case tv != nil:
+				word |= ties & tv.words[wi]
+			case tie == TieOne:
 				word |= ties
-			case TieRandom:
+			case tie == TieRandom:
 				// One coin bit per tied position in dimension order — the
 				// same consumption pattern as Accumulator.Threshold, so the
-				// two paths are bit-identical for equal sources.
+				// two are bit-identical for equal sources.
 				for t := ties; t != 0; t &= t - 1 {
 					if coinLeft == 0 {
 						coin = src.Uint64()
@@ -148,7 +185,14 @@ func majorityCSA(vs []*Vector, tie TieBreak, src Source) *Vector {
 		}
 		out.words[wi] = word
 	}
-	return out
+}
+
+// ripple adds carry, whose bits weigh 2^p, into the bit-planes. The carry
+// dies out below plane bits.Len(count), so p stays under 64.
+func ripple(planes *[64]uint64, carry uint64, p int) {
+	for ; carry != 0; p++ {
+		carry, planes[p&63] = planes[p&63]&carry, planes[p&63]^carry
+	}
 }
 
 // Accumulator is the integer counter form of bundling. HDC training bundles

@@ -1,10 +1,12 @@
 package bitvec
 
-// Fuzz harnesses pinning the threshold-pruned kernels (pruned.go) against
-// the per-bit references in reference.go. Dimensions are derived from the
-// fuzzed inputs so non-64-multiple word tails are exercised constantly; the
-// seed corpus under testdata/fuzz/ checks in the word-boundary cases
-// (d = 1, 63..65, 127..129) plus representative bounds.
+// Fuzz harnesses pinning the threshold-pruned kernels (pruned.go) and the
+// bundling kernel (majorityCSA) against the per-bit references in
+// reference.go. Dimensions are derived from the fuzzed inputs so
+// non-64-multiple word tails are exercised constantly; the seed corpora
+// (testdata/fuzz/ for the pruned kernels, f.Add for the bundling kernel)
+// check in the word-boundary cases (d = 1, 63..65, 127..129) plus
+// representative bounds and operand counts.
 
 import "testing"
 
@@ -79,6 +81,69 @@ func FuzzNearestPruned(f *testing.F) {
 		pi, ph := NearestPruned(q, vs, d+1)
 		if ni != pi || nh != ph {
 			t.Fatalf("d=%d n=%d: Nearest (%d,%d) != NearestPruned full bound (%d,%d)", d, n, ni, nh, pi, ph)
+		}
+	})
+}
+
+// FuzzMajority drives the bundling kernel with 1–130 operands in every tie
+// mode (mode%4: TieZero, TieOne, TieRandom, tie vector), with and without
+// per-operand keys. Every third operand is the complement of the one
+// before it, so even operand counts tie often. The reference binds the
+// keys explicitly, counts per bit and thresholds per bit.
+func FuzzMajority(f *testing.F) {
+	for _, d := range []uint16{1, 63, 64, 65, 127, 129} {
+		for _, k := range []uint8{1, 2, 64, 65} {
+			for mode := uint8(0); mode < 4; mode++ {
+				for _, keyed := range []bool{false, true} {
+					f.Add([]byte{0x5a, byte(d), k, 0xc3, mode}, d-1, k-1, mode, keyed, uint64(d)*131+uint64(k))
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, pool []byte, dRaw uint16, kRaw, mode uint8, keyed bool, seed uint64) {
+		d := fuzzDim(dRaw)
+		k := int(kRaw)%130 + 1
+		vs := make([]*Vector, k)
+		for i := range vs {
+			if i%3 == 2 {
+				vs[i] = vs[i-1].Not()
+			} else {
+				vs[i] = vecFromBytes(d, pool, i)
+			}
+		}
+		var keys []*Vector
+		bound := vs
+		if keyed {
+			keys = make([]*Vector, k)
+			bound = make([]*Vector, k)
+			for i := range keys {
+				keys[i] = vecFromBytes(d, pool, k+i).Not()
+				bound[i] = keys[i].Xor(vs[i])
+			}
+		}
+		got := New(d)
+		var want *Vector
+		switch tie := TieBreak(mode % 4); tie {
+		case TieZero, TieOne, TieRandom:
+			majorityCSA(got, vs, keys, tie, newTestSource(int64(seed)), nil)
+			want = referenceMajority(bound, tie, newTestSource(int64(seed)))
+			if !keyed && !Majority(vs, tie, newTestSource(int64(seed))).Equal(want) {
+				t.Fatalf("d=%d k=%d tie=%v: Majority diverges from the reference", d, k, tie)
+			}
+		default: // tie-vector mode
+			tv := vecFromBytes(d, pool, 2*k+1)
+			majorityCSA(got, vs, keys, TieZero, nil, tv)
+			acc := NewAccumulator(d)
+			for _, b := range bound {
+				acc.referenceAddWeighted(b, 1)
+			}
+			want = acc.referenceThresholdTieVector(tv)
+			if !MajorityTieVector(vs, keys, tv).Equal(want) {
+				t.Fatalf("d=%d k=%d keyed=%v: MajorityTieVector diverges from the reference", d, k, keyed)
+			}
+		}
+		if !got.Equal(want) {
+			t.Fatalf("d=%d k=%d mode=%d keyed=%v: kernel diverges from the reference", d, k, mode%4, keyed)
 		}
 	})
 }

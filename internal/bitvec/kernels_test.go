@@ -79,22 +79,20 @@ func TestThresholdUnknownTieBreakActsLikeTieZero(t *testing.T) {
 	if got.OnesCount() != 0 {
 		t.Errorf("unknown TieBreak resolved ties to 1s: %d set bits", got.OnesCount())
 	}
-	// Majority must agree between the CSA path and the accumulator
-	// fallback for unknown tie values too.
-	vs := []*Vector{v, v.Not()}
-	if !Majority(vs, TieBreak(99), nil).Equal(referenceMajority(vs, TieZero, nil)) {
-		t.Error("CSA Majority diverges from reference for unknown TieBreak")
-	}
-	big := make([]*Vector, csaMaxOperands+2)
-	for i := range big {
-		if i%2 == 0 {
-			big[i] = v
-		} else {
-			big[i] = v.Not()
+	// Majority must agree with the reference for unknown tie values too, at
+	// a small operand count and at one that needs a seventh bit-plane.
+	for _, k := range []int{2, 66} {
+		vs := make([]*Vector, k)
+		for i := range vs {
+			if i%2 == 0 {
+				vs[i] = v
+			} else {
+				vs[i] = v.Not()
+			}
 		}
-	}
-	if !Majority(big, TieBreak(99), nil).Equal(referenceMajority(big, TieZero, nil)) {
-		t.Error("fallback Majority diverges from reference for unknown TieBreak")
+		if !Majority(vs, TieBreak(99), nil).Equal(referenceMajority(vs, TieZero, nil)) {
+			t.Errorf("k=%d: Majority diverges from reference for unknown TieBreak", k)
+		}
 	}
 }
 
@@ -134,22 +132,48 @@ func TestDifferentialThresholdTieVector(t *testing.T) {
 }
 
 func TestDifferentialMajorityCSA(t *testing.T) {
+	// Every operand count from 1 to 130 at word-boundary dimensions and
+	// d = 10000, in every tie mode and the tie-vector mode, with and
+	// without keys. Every third operand complements the one before it, so
+	// even counts tie often. The reference counts grow one operand at a
+	// time, so each count k is checked against the first k operands.
 	r := rand.New(rand.NewSource(404))
-	for _, d := range []int{1, 63, 64, 65, 129, 777, 1000} {
-		for k := 1; k <= 12; k++ {
-			vs := make([]*Vector, k)
-			for i := range vs {
-				vs[i] = Random(d, newTestSource(r.Int63()))
+	for _, d := range []int{1, 63, 64, 65, 129, 777, 1000, 10000} {
+		pool := make([]*Vector, 130)
+		keys := make([]*Vector, len(pool))
+		for i := range pool {
+			if i%3 == 2 {
+				pool[i] = pool[i-1].Not()
+			} else {
+				pool[i] = Random(d, newTestSource(r.Int63()))
 			}
-			for _, tie := range []TieBreak{TieZero, TieOne, TieRandom} {
-				var srcA, srcB Source
-				if tie == TieRandom {
-					srcA, srcB = newTestSource(11), newTestSource(11)
+			keys[i] = Random(d, newTestSource(r.Int63()))
+		}
+		tv := Random(d, newTestSource(r.Int63()))
+		for _, keyed := range []bool{false, true} {
+			ref := NewAccumulator(d)
+			for k := 1; k <= len(pool); k++ {
+				vs := pool[:k]
+				var ks []*Vector
+				if keyed {
+					ks = keys[:k]
+					ref.referenceAddWeighted(keys[k-1].Xor(pool[k-1]), 1)
+				} else {
+					ref.referenceAddWeighted(pool[k-1], 1)
 				}
-				got := Majority(vs, tie, srcA)
-				want := referenceMajority(vs, tie, srcB)
-				if !got.Equal(want) {
-					t.Fatalf("d=%d k=%d tie=%v: CSA Majority diverges from reference", d, k, tie)
+				for _, tie := range []TieBreak{TieZero, TieOne, TieRandom} {
+					got := New(d)
+					if keyed {
+						majorityCSA(got, vs, ks, tie, newTestSource(11), nil)
+					} else {
+						got = Majority(vs, tie, newTestSource(11))
+					}
+					if !got.Equal(ref.referenceThreshold(tie, newTestSource(11))) {
+						t.Fatalf("d=%d k=%d tie=%v keyed=%v: kernel diverges from reference", d, k, tie, keyed)
+					}
+				}
+				if !MajorityTieVector(vs, ks, tv).Equal(ref.referenceThresholdTieVector(tv)) {
+					t.Fatalf("d=%d k=%d keyed=%v: MajorityTieVector diverges from reference", d, k, keyed)
 				}
 			}
 		}
@@ -157,11 +181,11 @@ func TestDifferentialMajorityCSA(t *testing.T) {
 }
 
 func TestDifferentialMajorityCSABoundaryOperandCounts(t *testing.T) {
-	// Exactly at and beyond the CSA operand limit, including the
-	// accumulator fallback, with ties forced by complementary pairs.
+	// Operand counts on both sides of a bit-plane boundary (64 needs seven
+	// planes, 128 eight, 256 nine), with ties forced by complementary pairs.
 	r := rand.New(rand.NewSource(505))
 	d := 321
-	for _, k := range []int{csaMaxOperands - 1, csaMaxOperands, csaMaxOperands + 1, csaMaxOperands + 6} {
+	for _, k := range []int{63, 64, 65, 70, 127, 128, 129, 255, 256} {
 		vs := make([]*Vector, 0, k+1)
 		for len(vs)+1 < k {
 			v := Random(d, newTestSource(r.Int63()))

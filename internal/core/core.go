@@ -159,7 +159,9 @@ func LevelSet(m, d int, src *rng.Stream) *Set { return LevelSetR(m, d, 0, src) }
 // set); r = 1 yields independent random vectors; intermediate values
 // concatenate level segments of n = r + (1−r)(m−1) transitions, each with
 // fresh random endpoints and a fresh interpolation filter. The threshold for
-// level l is τ_l = 1 − ((l−1) mod n)/n, as in the paper.
+// level l is τ_l = 1 − ((l−1) mod n)/n, as in the paper. Each level is
+// built a word at a time (interpolate), bit-identical to the per-bit loop
+// the package tests keep as the reference.
 func LevelSetR(m, d int, r float64, src *rng.Stream) *Set {
 	validate(m, d)
 	if r < 0 || r > 1 {
@@ -199,18 +201,33 @@ func LevelSetR(m, d int, r float64, src *rng.Stream) *Set {
 			vecs[l] = start.Clone()
 			continue
 		}
-		tau := 1 - p/n
-		v := bitvec.New(d)
-		for k := 0; k < d; k++ {
-			if phi[k] < tau {
-				v.SetBit(k, start.Bit(k))
-			} else {
-				v.SetBit(k, end.Bit(k))
-			}
-		}
-		vecs[l] = v
+		vecs[l] = interpolate(start, end, phi, 1-p/n)
 	}
 	return &Set{kind: KindLevel, d: d, r: r, vecs: vecs}
+}
+
+// interpolate builds the level at threshold tau between a segment's
+// endpoints: bit k comes from end where phi[k] >= tau and from start
+// elsewhere. It works one 64-bit word at a time: the 64 float comparisons
+// of a word are packed into a mask, branch-free, and the word is selected
+// as start ^ ((start ^ end) & mask).
+func interpolate(start, end *bitvec.Vector, phi []float64, tau float64) *bitvec.Vector {
+	v := bitvec.New(start.Dim())
+	sw, ew, out := start.Words(), end.Words(), v.Words()
+	for wi := range out {
+		// Shift the comparisons in from the word's last position down, so
+		// every shift is by a constant 1.
+		var mask uint64
+		for k := min(len(phi), wi*64+64) - 1; k >= wi*64; k-- {
+			var b uint64
+			if phi[k] >= tau {
+				b = 1
+			}
+			mask = mask<<1 | b
+		}
+		out[wi] = sw[wi] ^ (sw[wi]^ew[wi])&mask
+	}
+	return v
 }
 
 // uniforms fills (reusing buf when possible) a slice of d uniform [0,1)

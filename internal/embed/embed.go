@@ -162,15 +162,15 @@ type ScalarEncoder struct {
 }
 
 // NewScalarEncoder wraps a basis set as an encoder of [lo, hi]. It panics
-// when the interval is degenerate — hi <= lo or a non-finite bound — or
-// the set has fewer than 1 vector. The bounds check matters: a zero-width
-// interval makes Index divide by zero and a NaN/Inf bound makes it feed
-// NaN into an int conversion, which Go leaves implementation-defined.
-// (Note `hi <= lo` alone would NOT reject NaN bounds: every comparison
-// with NaN is false.)
+// when the interval is degenerate — hi <= lo, a non-finite bound, or a
+// width hi − lo past the float64 range — or the set has fewer than 1
+// vector. The bounds check matters: a zero-width interval makes Index
+// divide by zero and a NaN/Inf bound or width makes it feed NaN into an
+// int conversion, which Go leaves implementation-defined. (Note `hi <= lo`
+// alone would NOT reject NaN bounds: every comparison with NaN is false.)
 func NewScalarEncoder(set *core.Set, lo, hi float64) *ScalarEncoder {
-	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
-		panic(fmt.Sprintf("embed: non-finite interval bound [%v,%v]", lo, hi))
+	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) || math.IsInf(hi-lo, 0) {
+		panic(fmt.Sprintf("embed: non-finite interval [%v,%v]", lo, hi))
 	}
 	if hi <= lo {
 		panic(fmt.Sprintf("embed: empty interval [%v,%v]", lo, hi))
@@ -191,6 +191,9 @@ func (e *ScalarEncoder) Lo() float64 { return e.lo }
 func (e *ScalarEncoder) Hi() float64 { return e.hi }
 
 // Index returns the quantization index for x (clamped to the interval).
+// The clamp comes before the int conversion: converting a float past the
+// int range (1e18 on a unit interval, or ±Inf) is implementation-defined
+// in Go and wraps on amd64.
 func (e *ScalarEncoder) Index(x float64) int {
 	m := e.set.Len()
 	if m == 1 {
@@ -199,15 +202,13 @@ func (e *ScalarEncoder) Index(x float64) int {
 	if math.IsNaN(x) {
 		panic("embed: cannot encode NaN")
 	}
-	pos := (x - e.lo) / (e.hi - e.lo) * float64(m-1)
-	i := int(math.Round(pos))
-	if i < 0 {
+	if x <= e.lo {
 		return 0
 	}
-	if i >= m {
+	if x >= e.hi {
 		return m - 1
 	}
-	return i
+	return int(math.Round((x - e.lo) / (e.hi - e.lo) * float64(m-1)))
 }
 
 // Value returns the quantization point ξ_i represented by index i.
@@ -265,10 +266,11 @@ type CircularEncoder struct {
 }
 
 // NewCircularEncoder wraps a basis set as an encoder of a periodic value
-// with the given period (2π for radians, 24 for hours, 365 for days…).
+// with the given period (2π for radians, 24 for hours, 365 for days…). It
+// panics unless the period is positive and finite.
 func NewCircularEncoder(set *core.Set, period float64) *CircularEncoder {
-	if period <= 0 {
-		panic(fmt.Sprintf("embed: period must be positive, got %v", period))
+	if !(period > 0) || math.IsInf(period, 1) {
+		panic(fmt.Sprintf("embed: period must be positive and finite, got %v", period))
 	}
 	if set.Len() < 1 {
 		panic("embed: circular encoder needs a non-empty basis set")
@@ -282,13 +284,20 @@ func (e *CircularEncoder) Set() *core.Set { return e.set }
 // Period returns the encoder's period.
 func (e *CircularEncoder) Period() float64 { return e.period }
 
-// Index returns the wrapped quantization index for x.
+// Index returns the wrapped quantization index for x. A NaN or infinite x
+// has no phase and panics.
 func (e *CircularEncoder) Index(x float64) int {
-	if math.IsNaN(x) {
-		panic("embed: cannot encode NaN")
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		panic(fmt.Sprintf("embed: cannot encode %v", x))
 	}
 	m := e.set.Len()
-	frac := math.Mod(x/e.period, 1)
+	q := x / e.period
+	if math.IsInf(q, 0) {
+		// A finite x past period·MaxFloat64 (a period below 1): reduce it
+		// modulo the period first, which math.Mod does exactly.
+		q = math.Mod(x, e.period) / e.period
+	}
+	frac := math.Mod(q, 1)
 	if frac < 0 {
 		frac++
 	}
@@ -333,9 +342,10 @@ func (e *CircularEncoder) Decode(q *bitvec.Vector) float64 {
 // RecordEncoder implements the paper's Table-1 sample encoding
 // ⊕_{i=1..n} K_i ⊗ V_i: every field i has a fixed random key hypervector
 // K_i, a field value is encoded by the field's value encoder, and the bound
-// pairs are bundled with majority.
+// pairs are bundled with majority on bitvec's bit-sliced kernel
+// (bitvec.MajorityTieVector), which fuses the key binding into its word
+// loop. An encode allocates only its result.
 type RecordEncoder struct {
-	d      int
 	keys   []*bitvec.Vector
 	tieVec *bitvec.Vector
 }
@@ -354,7 +364,6 @@ func NewRecordEncoder(d, nFields int, seed uint64) *RecordEncoder {
 		keys[i] = bitvec.Random(d, keyStream)
 	}
 	return &RecordEncoder{
-		d:      d,
 		keys:   keys,
 		tieVec: bitvec.Random(d, rng.Sub(seed, "record/ties")),
 	}
@@ -372,13 +381,7 @@ func (e *RecordEncoder) EncodeVectors(values []*bitvec.Vector) *bitvec.Vector {
 	if len(values) != len(e.keys) {
 		panic(fmt.Sprintf("embed: record has %d fields, got %d values", len(e.keys), len(values)))
 	}
-	acc := bitvec.NewAccumulator(e.d)
-	tmp := bitvec.New(e.d)
-	for i, v := range values {
-		e.keys[i].XorInto(v, tmp)
-		acc.Add(tmp)
-	}
-	return acc.ThresholdTieVector(e.tieVec)
+	return bitvec.MajorityTieVector(values, e.keys, e.tieVec)
 }
 
 // FieldEncoder is anything that can map a float64 to a hypervector; both

@@ -2,6 +2,7 @@ package embed
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -136,6 +137,24 @@ func TestScalarEncoderIndexing(t *testing.T) {
 	}
 }
 
+func TestScalarEncoderClampsHugeAndInfiniteValues(t *testing.T) {
+	// Values whose position overflows the int range clamp to the nearer
+	// endpoint instead of wrapping through the int conversion.
+	e := NewScalarEncoder(levelSet(24, 64, 1), 0, 1)
+	cases := []struct {
+		x    float64
+		want int
+	}{
+		{1e18, 23}, {math.MaxFloat64, 23}, {math.Inf(1), 23}, {1, 23},
+		{-1e18, 0}, {-math.MaxFloat64, 0}, {math.Inf(-1), 0}, {0, 0},
+	}
+	for _, c := range cases {
+		if got := e.Index(c.x); got != c.want {
+			t.Errorf("Index(%v) = %d, want %d", c.x, got, c.want)
+		}
+	}
+}
+
 func TestScalarEncoderValueRoundTrip(t *testing.T) {
 	e := NewScalarEncoder(levelSet(21, 512, 2), -5, 5)
 	for i := 0; i < 21; i++ {
@@ -198,6 +217,7 @@ func TestScalarEncoderPanics(t *testing.T) {
 		{math.NaN(), math.NaN()},
 		{math.Inf(-1), math.Inf(1)},
 		{0, math.Inf(1)},
+		{-math.MaxFloat64, math.MaxFloat64}, // finite bounds, width overflows to +Inf
 		{7, 3},
 	} {
 		func() {
@@ -252,6 +272,17 @@ func TestCircularEncoderWrapIndex(t *testing.T) {
 	for _, c := range cases {
 		if got := e.Index(c.x); got != c.want {
 			t.Errorf("Index(%v) = %d, want %d", c.x, got, c.want)
+		}
+	}
+}
+
+func TestCircularEncoderHugeValues(t *testing.T) {
+	// With a period below 1, x/period overflows for finite x near
+	// MaxFloat64; every such x is a whole multiple of 0.5, so phase 0.
+	e := NewCircularEncoder(circularSet(8, 64, 9), 0.5)
+	for _, x := range []float64{math.MaxFloat64, -math.MaxFloat64, 1e308} {
+		if got := e.Index(x); got != 0 {
+			t.Errorf("Index(%v) = %d, want 0", x, got)
 		}
 	}
 }
@@ -315,15 +346,28 @@ func TestCircularEncoderPanics(t *testing.T) {
 		}()
 		NewCircularEncoder(circularSet(4, 64, 16), 0)
 	}()
-	e := NewCircularEncoder(circularSet(4, 64, 17), 4)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("NaN did not panic")
-			}
+	for _, period := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("period %v did not panic", period)
+				}
+			}()
+			NewCircularEncoder(circularSet(4, 64, 16), period)
 		}()
-		e.Index(math.NaN())
-	}()
+	}
+	e := NewCircularEncoder(circularSet(4, 64, 17), 4)
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "embed: ") {
+					t.Errorf("Index(%v) panic = %q, want an embed: panic", x, msg)
+				}
+			}()
+			e.Index(x)
+		}()
+	}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -398,6 +442,20 @@ func TestRecordEncoderFieldRecoverable(t *testing.T) {
 	}
 	if simTrue < 0.6 {
 		t.Errorf("recovered field similarity %v too low", simTrue)
+	}
+}
+
+func TestRecordEncoderAllocations(t *testing.T) {
+	// An encode allocates only its result: the vector and its words.
+	const d = 10000
+	re := NewRecordEncoder(d, 18, 9)
+	enc := NewCircularEncoder(core.CircularSetR(24, d, 0.1, rng.New(8)), 2*math.Pi)
+	vals := make([]*bitvec.Vector, 18)
+	for i := range vals {
+		vals[i] = enc.Encode(float64(i) / 3)
+	}
+	if n := testing.AllocsPerRun(20, func() { re.EncodeVectors(vals) }); n != 2 {
+		t.Errorf("EncodeVectors made %v allocations, want 2", n)
 	}
 }
 

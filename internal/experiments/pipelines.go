@@ -150,7 +150,8 @@ type RegressionResult struct {
 
 // regressionCell is one fitted Table 2 cell: the trained regressor, its
 // label encoder, and the test split, whose samples are encoded one at a
-// time as they are decoded.
+// time as they are decoded. A vector test returns may be a scratch vector,
+// valid only until the next call.
 type regressionCell struct {
 	reg    *model.Regressor
 	labels *embed.ScalarEncoder
@@ -202,11 +203,12 @@ func fitTemperature(series []dataset.TempSample, kind core.Kind, cfg RegressConf
 	lo, hi := dataset.TempRange(train)
 	labelEnc := embed.NewScalarEncoder(core.LevelSet(cfg.LabelLevels, cfg.D, basisStream), lo, hi)
 
+	// encode binds into one scratch vector per cell: its result is valid
+	// until the next call, which is all Regressor.Add and score need.
+	scratch := bitvec.New(cfg.D)
 	encode := func(s dataset.TempSample) *bitvec.Vector {
-		v := yearEnc.Encode(float64(s.YearIndex))
-		v = v.Xor(dayEnc.Encode(s.DayOfYear))
-		v.XorInPlace(hourEnc.Encode(s.HourOfDay))
-		return v
+		yearEnc.Encode(float64(s.YearIndex)).XorInto(dayEnc.Encode(s.DayOfYear), scratch)
+		return scratch.XorInPlace(hourEnc.Encode(s.HourOfDay))
 	}
 
 	reg := model.NewRegressor(cfg.D, cfg.Seed^hash("beijing"))

@@ -364,3 +364,25 @@ func TestConcurrentTrafficThroughHandlers(t *testing.T) {
 		t.Errorf("final version = %v, want 11", out["version"])
 	}
 }
+
+func TestPredictClampsHugeFeature(t *testing.T) {
+	// 1e18 lies far above the [0, 1] interval: it must encode at the top
+	// level, as 1 does, not wrap to the bottom through an int conversion.
+	a := testAPI(t)
+	if rec, _ := doJSON(t, a, http.MethodPost, "/v1/train", trainBody(10)); rec.Code != http.StatusOK {
+		t.Fatalf("/v1/train = %d: %s", rec.Code, rec.Body.String())
+	}
+	predict := func(x float64) (any, any) {
+		t.Helper()
+		rec, out := doJSON(t, a, http.MethodPost, "/v1/predict", PredictRequest{Queries: [][]float64{{x, 0.1}}})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/v1/predict(%v) = %d: %s", x, rec.Code, rec.Body.String())
+		}
+		return out["classes"].([]any)[0], out["distances"].([]any)[0]
+	}
+	hugeClass, hugeDist := predict(1e18)
+	topClass, topDist := predict(1)
+	if hugeClass != topClass || hugeDist != topDist {
+		t.Errorf("feature 1e18 → class %v distance %v; feature 1 → class %v distance %v", hugeClass, hugeDist, topClass, topDist)
+	}
+}

@@ -271,10 +271,11 @@ func (c *Classifier) checkClass(i int) {
 // Regressor is the single-hypervector regression model
 // M = ⊕_i φ(x_i) ⊗ φℓ(y_i).
 type Regressor struct {
-	d   int
-	acc *bitvec.Accumulator
-	tie bitvec.TieBreak
-	src *rng.Stream
+	d     int
+	acc   *bitvec.Accumulator
+	bound *bitvec.Vector // Add's binding scratch; Add, like acc, has one writer
+	tie   bitvec.TieBreak
+	src   *rng.Stream
 
 	mu    sync.Mutex                    // serializes finalization
 	model atomic.Pointer[bitvec.Vector] // thresholded; nil until finalize
@@ -287,10 +288,11 @@ func NewRegressor(d int, seed uint64) *Regressor {
 		panic(fmt.Sprintf("model: dimension must be positive, got %d", d))
 	}
 	return &Regressor{
-		d:   d,
-		acc: bitvec.NewAccumulator(d),
-		tie: bitvec.TieRandom,
-		src: rng.Sub(seed, "regressor/ties"),
+		d:     d,
+		acc:   bitvec.NewAccumulator(d),
+		bound: bitvec.New(d),
+		tie:   bitvec.TieRandom,
+		src:   rng.Sub(seed, "regressor/ties"),
 	}
 }
 
@@ -298,9 +300,11 @@ func NewRegressor(d int, seed uint64) *Regressor {
 func (r *Regressor) Dim() int { return r.d }
 
 // Add memorizes one training pair: the binding of the encoded sample and
-// the encoded label is bundled into the model.
+// the encoded label is bundled into the model. The binding goes through a
+// scratch vector the regressor owns, so Add allocates nothing and keeps
+// neither argument. Add is not safe for concurrent use.
 func (r *Regressor) Add(sampleHV, labelHV *bitvec.Vector) {
-	r.acc.Add(sampleHV.Xor(labelHV))
+	r.acc.Add(sampleHV.XorInto(labelHV, r.bound))
 	r.model.Store(nil)
 }
 

@@ -333,6 +333,16 @@ func TestRegressorDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+func TestRegressorAddAllocatesNothing(t *testing.T) {
+	const d = 10000
+	reg := NewRegressor(d, 26)
+	src := rng.New(27)
+	x, y := bitvec.Random(d, src), bitvec.Random(d, src)
+	if n := testing.AllocsPerRun(20, func() { reg.Add(x, y) }); n != 0 {
+		t.Errorf("Regressor.Add made %v allocations, want 0", n)
+	}
+}
+
 func TestRegressorPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
