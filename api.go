@@ -90,28 +90,30 @@ func NearestPruned(q *Vector, vs []*Vector, bound int) (idx, hamming int) {
 // Sublinear associative lookup
 // ---------------------------------------------------------------------------
 
-// IndexConfig tunes the bit-sampling sketch indexes (internal/index) that
-// serve associative lookups sublinearly past a size threshold: signature
-// width, exact-re-rank candidate count, auto-enable threshold, sampling
-// seed, radius-screen slack, and Disabled for exact-only operation. The
-// zero value selects the defaults (256-bit signatures, auto candidates,
-// threshold 2048). Candidates >= collection size makes indexed lookups
-// bit-identical to the exact linear scan.
+// IndexConfig tunes how associative lookups search a collection
+// (internal/index): exactly below a size threshold, through a bit-sampling
+// sketch index past it. It sets the signature width, exact-re-rank
+// candidate count, threshold, sampling seed, radius-screen slack, and
+// Disabled for exact-only operation. The zero value selects the defaults
+// (256-bit signatures, auto candidates, threshold 2048). Candidates >=
+// collection size makes indexed lookups bit-identical to the exact linear
+// scan.
 type IndexConfig = index.Config
 
-// AssocIndex is an immutable bit-sampling sketch index over a fixed slice
-// of hypervectors: Nearest runs sublinear candidate generation plus exact
-// re-rank; WithinRadius screens by signature before exact verification.
-// Safe for any number of concurrent readers.
-type AssocIndex = index.Index
+// AssocIndex is an immutable collection of hypervectors that answers
+// Nearest and WithinRadius: an exact scan below IndexConfig.MinSize, past
+// it sublinear candidate generation plus exact re-rank, and a signature
+// screen before exact verification. Safe for any number of concurrent
+// readers.
+type AssocIndex = index.Set
 
 // DefaultIndexConfig returns the default sketch-index configuration.
 func DefaultIndexConfig() IndexConfig { return index.DefaultConfig() }
 
-// NewAssocIndex builds a sketch index over vs (shared, not copied; do not
-// mutate the vectors while the index lives). It panics on an empty slice
-// or mismatched dimensions.
-func NewAssocIndex(vs []*Vector, cfg IndexConfig) *AssocIndex { return index.New(vs, cfg) }
+// NewAssocIndex returns the searchable collection over vs (shared, not
+// copied; do not mutate the vectors while it lives). It panics on
+// mismatched dimensions once vs is large enough to index.
+func NewAssocIndex(vs []*Vector, cfg IndexConfig) *AssocIndex { return index.NewSet(vs, cfg, nil) }
 
 // NewIndexedItemMemory returns an empty item memory whose Lookup is served
 // through a sketch index under the given configuration once it grows past

@@ -7,13 +7,9 @@ import (
 	"hdcirc/internal/model"
 )
 
-// Thermometer is the thermometer-code basis family (prefix flips;
-// deterministic distances), included as a further linearly-correlated
-// baseline from the HDC literature.
-const Thermometer = core.KindThermometer
-
 // ParseKind converts a family name ("random", "level", "circular", …) into
-// a Kind. Case-insensitive.
+// a Kind. Case-insensitive; "thermometer" names LevelLegacy, which is the
+// thermometer code.
 func ParseKind(s string) (Kind, error) { return core.ParseKind(s) }
 
 // Kinds lists every available basis family.

@@ -6,17 +6,15 @@ import (
 )
 
 func TestFacadeThermometerAndParse(t *testing.T) {
-	s := NewStream(21)
-	basis := NewBasis(Thermometer, 8, 1024, 0, s)
-	if basis.Kind() != Thermometer {
-		t.Error("thermometer basis kind wrong")
+	if k, err := ParseKind("thermometer"); err != nil || k != LevelLegacy {
+		t.Errorf("ParseKind(thermometer) = %v, %v; want the legacy level set", k, err)
 	}
 	k, err := ParseKind("circular")
 	if err != nil || k != Circular {
 		t.Errorf("ParseKind = %v, %v", k, err)
 	}
-	if len(Kinds()) != 6 {
-		t.Errorf("Kinds() = %d families, want 6", len(Kinds()))
+	if len(Kinds()) != 5 {
+		t.Errorf("Kinds() = %d families, want 5", len(Kinds()))
 	}
 }
 

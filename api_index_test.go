@@ -33,10 +33,11 @@ func TestFacadeAssocIndexExactMode(t *testing.T) {
 		vs[i] = RandomVector(d, src)
 	}
 	cfg := DefaultIndexConfig()
+	cfg.MinSize = n
 	cfg.Candidates = n // exact mode
 	ix := NewAssocIndex(vs, cfg)
-	if !ix.Exact() {
-		t.Fatal("C == n should be exact")
+	if ix.Indexed() != n {
+		t.Fatalf("index covers %d of %d vectors", ix.Indexed(), n)
 	}
 	for i := 0; i < 40; i++ {
 		q := RandomVector(d, src)

@@ -1,8 +1,8 @@
 package hdcirc
 
 // Benchmarks for the extension substrates: SDM recall, hardware cost
-// evaluation, the thermometer baseline, rotation fast path and weighted
-// decoding, plus the extension experiments.
+// evaluation, rotation fast path and weighted decoding, plus the extension
+// experiments.
 
 import (
 	"testing"
@@ -14,8 +14,6 @@ import (
 	"hdcirc/internal/rng"
 	"hdcirc/internal/sdm"
 )
-
-func BenchmarkGenerateThermometer(b *testing.B) { benchGenerate(b, core.KindThermometer) }
 
 func BenchmarkRotateFastPath(b *testing.B) {
 	r := rng.New(30)

@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	kind := flag.String("kind", "circular", "basis family: random|level-legacy|level|circular|scatter|thermometer")
+	kind := flag.String("kind", "circular", "basis family: random|level-legacy (alias thermometer)|level|circular|scatter")
 	m := flag.Int("m", 64, "set cardinality")
 	d := flag.Int("d", 10000, "hypervector dimension")
 	r := flag.Float64("r", 0, "correlation-relaxation hyperparameter (level/circular)")

@@ -89,14 +89,15 @@
 // nearest-prototype search — runs as a word-parallel kernel over the
 // packed 64-bit representation rather than bit by bit; see internal/bitvec
 // for the kernel catalog (Nearest, DistanceMany, XorDistance,
-// WithinDistance, DistanceBounded, NearestPruned, the carry-save-adder
-// Majority) and cmd/hdcbench for the tracked ns/op numbers.
+// DistanceBounded, NearestPruned, the carry-save-adder Majority) and
+// cmd/hdcbench for the tracked ns/op numbers.
 //
 // Associative lookups additionally go sublinear past a size threshold:
-// internal/index serves ItemMemory.Lookup, large-k Classifier.Predict,
-// SDM activation and the serving snapshots through a bit-sampling sketch
+// ItemMemory.Lookup, Classifier.Predict, SDM activation and the serving
+// snapshots all search through one internal/index Set, which scans
+// exactly below the threshold and past it uses a bit-sampling sketch
 // index — signature-distance candidate generation plus exact re-rank with
-// the threshold-pruned kernels. The recall/latency trade is tunable
+// the early-abandon kernel. The recall/latency trade is tunable
 // through IndexConfig (exact mode: Candidates >= collection size; opt
 // out: Disabled), see NewAssocIndex, NewIndexedItemMemory and the Index
 // field on ServerConfig.

@@ -2,17 +2,16 @@
 // its designated builder functions.
 //
 // The entire lock-free read plane rests on one invariant: a
-// serve.Snapshot (and each shardView inside it), and a model.classView,
-// are frozen the moment they are published through an atomic.Pointer
-// store. Readers at any fan-in dereference them with no lock; a single
+// serve.Snapshot (and each shardView inside it), and an index.Set, are
+// frozen the moment they are published through an atomic.Pointer store. Readers at any fan-in dereference them with no lock; a single
 // post-publication field write is a data race that -race only catches if
 // a test happens to overlap the exact pair of accesses. This analyzer
 // makes the freeze structural: assignments (including compound assigns,
 // ++/--, element writes and whole-struct overwrites through a pointer)
 // to fields of those types are allowed only inside the functions that
 // build the value before publication — serve.buildSnapshotLocked for
-// Snapshot/shardView, model.finalizeLocked and model.ReadClassifier for
-// classView. Everywhere else they are reported.
+// Snapshot/shardView, index.NewSet for Set. Everywhere else they are
+// reported.
 //
 // Known limitation: the check is syntactic over selector chains, so a
 // write through an intermediate alias (v := snap.shards[0]; v.proto = …)
@@ -32,7 +31,7 @@ import (
 // Analyzer is the snapshotmut checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "snapshotmut",
-	Doc: "forbid writes to serve.Snapshot / serve.shardView / model.classView " +
+	Doc: "forbid writes to serve.Snapshot / serve.shardView / index.Set " +
 		"fields outside their designated builders; published snapshots are " +
 		"immutable and readers hold no lock",
 	Run: run,
@@ -49,7 +48,7 @@ type target struct {
 var targets = []target{
 	{"serve", "Snapshot", map[string]bool{"buildSnapshotLocked": true}},
 	{"serve", "shardView", map[string]bool{"buildSnapshotLocked": true}},
-	{"model", "classView", map[string]bool{"finalizeLocked": true, "ReadClassifier": true}},
+	{"index", "Set", map[string]bool{"NewSet": true}},
 }
 
 // match returns the protected target for a named type, or nil.

@@ -9,5 +9,5 @@ import (
 
 func TestSnapshotMut(t *testing.T) {
 	analysistest.Run(t, "testdata", snapshotmut.Analyzer,
-		"serve", "model", "other")
+		"serve", "index", "other")
 }

@@ -21,9 +21,10 @@
 //     record encoder's fused ⊕ᵢ Kᵢ ⊗ Vᵢ.
 //   - Rotation (RotateBits, Rotate) is two d-bit word shifts, O(d/64) for
 //     any dimension including non-multiples of 64.
-//   - Nearest-neighbor search (Nearest, NearestInto, NearestXor,
-//     DistanceMany, XorDistance, WithinDistance in nearest.go) fuses
-//     bind/compare/argmin into allocation-free scans with early exit.
+//   - Nearest-neighbor search (Nearest, NearestXor, DistanceMany and
+//     XorDistance in nearest.go; DistanceBounded and NearestPruned in
+//     pruned.go) fuses bind/compare/argmin into allocation-free scans with
+//     early exit.
 //
 // The per-bit originals are kept in reference.go as the spec the kernels
 // are differential-tested against (kernels_test.go) — every kernel is

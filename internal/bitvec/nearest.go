@@ -34,39 +34,15 @@ func DistanceMany(q *Vector, vs []*Vector, dst []int) []int {
 }
 
 // Nearest returns the index of the vector in vs nearest to q (ties resolve
-// to the lowest index) together with its Hamming distance. It allocates
-// nothing and abandons candidates early once they exceed the best distance.
-// It panics on an empty candidate list or mismatched dimensions.
+// to the lowest index) together with its Hamming distance. It is
+// NearestPruned with a bound no distance reaches: it allocates nothing and
+// abandons candidates early once they exceed the best distance. It panics
+// on an empty candidate list or mismatched dimensions.
 func Nearest(q *Vector, vs []*Vector) (idx, hd int) {
 	if len(vs) == 0 {
 		panic("bitvec: Nearest over zero candidates")
 	}
-	qw := q.words
-	best, bestIdx := q.d+1, 0
-	for i, v := range vs {
-		q.mustMatch(v)
-		n := 0
-		for j, w := range v.words {
-			n += bits.OnesCount64(qw[j] ^ w)
-			if n >= best {
-				break
-			}
-		}
-		if n < best {
-			best, bestIdx = n, i
-		}
-	}
-	return bestIdx, best
-}
-
-// NearestInto is Nearest plus a copy of the winning vector into dst (which
-// must match q's dimension); it returns the winner's index and Hamming
-// distance. Cleanup memories use it to recall a denoised vector without
-// exposing their internal storage.
-func NearestInto(q *Vector, vs []*Vector, dst *Vector) (idx, hd int) {
-	idx, hd = Nearest(q, vs)
-	dst.CopyFrom(vs[idx])
-	return idx, hd
+	return NearestPruned(q, vs, q.d+1)
 }
 
 // XorDistance returns the Hamming distance between the binding x ⊗ y and z
@@ -105,20 +81,4 @@ func NearestXor(x, y *Vector, vs []*Vector) (idx, hd int) {
 		}
 	}
 	return bestIdx, best
-}
-
-// WithinDistance reports whether the Hamming distance between a and b is at
-// most r, stopping the popcount as soon as the bound is exceeded. Sparse
-// distributed memory activation scans depend on this: almost every hard
-// location fails the radius test long before the last word.
-func WithinDistance(a, b *Vector, r int) bool {
-	a.mustMatch(b)
-	n := 0
-	for i, w := range a.words {
-		n += bits.OnesCount64(w ^ b.words[i])
-		if n > r {
-			return false
-		}
-	}
-	return true
 }

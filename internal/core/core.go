@@ -7,8 +7,9 @@
 //   - RandomSet — i.i.d. uniform hypervectors for symbolic data (Section 3.1);
 //     all pairs quasi-orthogonal.
 //   - LevelLegacySet — the pre-existing level-hypervector construction
-//     (Rahimi et al.): successive levels flip a fixed quota of previously
-//     unflipped bits, so pairwise distances are exact, not stochastic.
+//     (Rahimi et al.), also known as the thermometer code: successive
+//     levels flip a fixed quota of previously unflipped bits, so pairwise
+//     distances are exact, not stochastic.
 //   - LevelSet — the paper's Algorithm 1: intermediate levels draw each bit
 //     from either endpoint through a shared uniform interpolation filter, so
 //     E[δ(L_i, L_j)] = (j−i)/(2(m−1)) with maximal information content
@@ -30,6 +31,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/markov"
@@ -64,11 +66,35 @@ func (k Kind) String() string {
 		return "circular"
 	case KindScatter:
 		return "scatter"
-	case KindThermometer:
-		return "thermometer"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// ParseKind converts a family name (as produced by Kind.String) back into a
+// Kind; it accepts any case. "thermometer" names the legacy level set: a
+// thermometer code flips a growing prefix of one random permutation, which
+// is exactly LevelLegacySet's construction.
+func ParseKind(s string) (Kind, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "random":
+		return KindRandom, nil
+	case "level-legacy", "legacy", "thermometer":
+		return KindLevelLegacy, nil
+	case "level":
+		return KindLevel, nil
+	case "circular":
+		return KindCircular, nil
+	case "scatter":
+		return KindScatter, nil
+	default:
+		return 0, fmt.Errorf("core: unknown basis kind %q", s)
+	}
+}
+
+// Kinds lists every basis family in declaration order.
+func Kinds() []Kind {
+	return []Kind{KindRandom, KindLevelLegacy, KindLevel, KindCircular, KindScatter}
 }
 
 // Set is an ordered basis-hypervector set. Index i corresponds to the i-th
@@ -424,8 +450,6 @@ func (c Config) Build(src *rng.Stream) *Set {
 		return CircularSetR(c.M, c.D, c.R, src)
 	case KindScatter:
 		return ScatterSet(c.M, c.D, c.Calibration, src)
-	case KindThermometer:
-		return ThermometerSet(c.M, c.D, src)
 	default:
 		panic(fmt.Sprintf("core: unknown basis kind %v", c.Kind))
 	}

@@ -8,11 +8,15 @@ import (
 	"hdcirc/internal/rng"
 )
 
+// The legacy level set is the thermometer code: level l flips the first
+// quota·l coordinates of one random permutation relative to L_0. These
+// tests pin that structure.
+
 func TestThermometerExactDistances(t *testing.T) {
 	r := rng.New(31)
 	m, d := 9, 10000
-	s := ThermometerSet(m, d, r)
-	if s.Kind() != KindThermometer {
+	s := LevelLegacySet(m, d, r)
+	if s.Kind() != KindLevelLegacy {
 		t.Fatalf("kind = %v", s.Kind())
 	}
 	for i := 0; i < m; i++ {
@@ -34,7 +38,7 @@ func TestThermometerPrefixStructure(t *testing.T) {
 	// relative to the base: flipped(l) ⊂ flipped(l+1).
 	r := rng.New(32)
 	m, d := 6, 2048
-	s := ThermometerSet(m, d, r)
+	s := LevelLegacySet(m, d, r)
 	base := s.At(0)
 	for l := 1; l < m-1; l++ {
 		cur := base.Xor(s.At(l))
@@ -48,18 +52,8 @@ func TestThermometerPrefixStructure(t *testing.T) {
 }
 
 func TestThermometerSingle(t *testing.T) {
-	if s := ThermometerSet(1, 256, rng.New(33)); s.Len() != 1 {
+	if s := LevelLegacySet(1, 256, rng.New(33)); s.Len() != 1 {
 		t.Error("m=1 thermometer set wrong size")
-	}
-}
-
-func TestThermometerViaConfig(t *testing.T) {
-	s := Config{Kind: KindThermometer, M: 4, D: 512}.Build(rng.New(34))
-	if s.Kind() != KindThermometer || s.Len() != 4 {
-		t.Error("Config.Build(thermometer) wrong")
-	}
-	if KindThermometer.String() != "thermometer" {
-		t.Error("thermometer String wrong")
 	}
 }
 
@@ -71,7 +65,7 @@ func TestParseKind(t *testing.T) {
 		"SCATTER":      KindScatter,
 		"level-legacy": KindLevelLegacy,
 		"legacy":       KindLevelLegacy,
-		"thermometer":  KindThermometer,
+		"thermometer":  KindLevelLegacy,
 	}
 	for in, want := range cases {
 		got, err := ParseKind(in)
@@ -147,7 +141,7 @@ func TestThermometerZeroDistanceVariance(t *testing.T) {
 	r := rng.New(37)
 	first := -1
 	for draw := 0; draw < 10; draw++ {
-		s := ThermometerSet(5, 1024, r)
+		s := LevelLegacySet(5, 1024, r)
 		d := s.At(1).HammingDistance(s.At(3))
 		if first < 0 {
 			first = d

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/core"
@@ -34,10 +35,9 @@ type ItemMemory struct {
 	syms []string
 	vecs []*bitvec.Vector
 
-	ixCfg index.Config // sketch-index knobs; zero value = defaults, auto-enable past MinSize
-	ixMu  sync.Mutex   // guards ix/ixLen rebuilds (Lookup stays safe with Lookup)
-	ix    *index.Index // sketch index over vecs[:ixLen]; nil until first large Lookup
-	ixLen int
+	ixCfg index.Config              // how Lookup searches; zero value = defaults, auto-enable past MinSize
+	setMu sync.Mutex                // serializes refreshes of set (Lookup stays safe with Lookup)
+	set   atomic.Pointer[index.Set] // vecs as Lookup last saw them; nil until the first Lookup
 }
 
 // NewItemMemory returns an empty item memory over dimension d seeded by
@@ -56,10 +56,10 @@ func NewItemMemory(d int, seed uint64) *ItemMemory {
 // Disabled for exact-only operation) and invalidates any index built so
 // far. Call it before concurrent Lookups start.
 func (im *ItemMemory) SetIndexConfig(cfg index.Config) {
-	im.ixMu.Lock()
+	im.setMu.Lock()
 	im.ixCfg = cfg
-	im.ix, im.ixLen = nil, 0
-	im.ixMu.Unlock()
+	im.set.Store(nil)
+	im.setMu.Unlock()
 }
 
 // Dim returns the hypervector dimension.
@@ -96,55 +96,38 @@ func (im *ItemMemory) View() (symbols []string, vectors []*bitvec.Vector) {
 // with its similarity; ok is false when the memory is empty. This is the
 // cleanup/associative-recall step of symbolic HDC.
 //
-// Below the configured index threshold (or with indexing disabled) the
-// scan runs on the fused nearest-neighbor kernel over the creation-ordered
-// vector list: no allocation, and exact similarity ties resolve
-// deterministically to the earliest-created symbol. Past the threshold the
-// bulk of the memory is served through the bit-sampling sketch index —
-// sublinear candidate generation plus exact re-rank — with symbols interned
-// since the last index build covered by an exact pruned scan, so a trickle
-// of Gets between Lookups never forces a rebuild. The index is rebuilt
-// (and the stale one discarded) once the un-indexed tail grows past a
-// fraction of the indexed prefix. Lookup is safe for concurrent Lookup
-// callers; it is not safe concurrently with Get (which was already true of
-// the plain scan — Get mutates the backing slices).
+// The creation-ordered vectors are searched through an index.Set: an exact
+// scan below the configured index threshold (or with indexing disabled),
+// the bit-sampling sketch index past it. Exact similarity ties resolve to
+// the earliest-created symbol. Gets between Lookups append to the Set's
+// exactly scanned tail, and the Set decides when to rebuild its index.
+// Lookup is safe for concurrent Lookup callers; it is not safe
+// concurrently with Get (which mutates the backing slices).
 func (im *ItemMemory) Lookup(q *bitvec.Vector) (symbol string, sim float64, ok bool) {
 	n := len(im.vecs)
 	if n == 0 {
 		return "", -1, false
 	}
-	var idx, hd int
-	if ix := im.lookupIndex(n); ix != nil {
-		idx, hd = ix.Nearest(q)
-		if tail := im.vecs[ix.Len():n:n]; len(tail) > 0 {
-			// Exact scan of the recently interned tail; strict improvement
-			// only, so the (lower-index) prefix winner keeps exact ties.
-			if ti, th := bitvec.NearestPruned(q, tail, hd); ti >= 0 {
-				idx, hd = ix.Len()+ti, th
-			}
-		}
-	} else {
-		idx, hd = bitvec.Nearest(q, im.vecs[:n:n])
-	}
+	idx, hd := im.lookupSet(n).Nearest(q)
 	return im.syms[idx], 1 - float64(hd)/float64(im.d), true
 }
 
-// lookupIndex returns the sketch index serving a Lookup over the first n
-// vectors, or nil when the memory should stay on the exact linear scan.
-// The index covers the prefix that existed at its build; it is invalidated
-// and rebuilt here once Gets have appended more than index.MaxTail(ixLen)
-// vectors past it.
-func (im *ItemMemory) lookupIndex(n int) *index.Index {
-	if !im.ixCfg.Enabled(n) {
-		return nil
+// lookupSet returns the Set over the first n vectors, refreshing it after
+// Gets: the next generation extends the last one, so index.NewSet can keep
+// its index. The fast path is a single atomic load; a refresh
+// double-checks under the mutex so racing Lookups agree on one Set.
+func (im *ItemMemory) lookupSet(n int) *index.Set {
+	if s := im.set.Load(); s != nil && s.Len() == n {
+		return s
 	}
-	im.ixMu.Lock()
-	defer im.ixMu.Unlock()
-	if im.ix == nil || n-im.ixLen > index.MaxTail(im.ixLen) {
-		im.ix = index.New(im.vecs[:n:n], im.ixCfg)
-		im.ixLen = n
+	im.setMu.Lock()
+	defer im.setMu.Unlock()
+	s := im.set.Load()
+	if s == nil || s.Len() != n {
+		s = index.NewSet(im.vecs[:n:n], im.ixCfg, s)
+		im.set.Store(s)
 	}
-	return im.ix
+	return s
 }
 
 // ---------------------------------------------------------------------------
@@ -392,15 +375,16 @@ type FieldEncoder interface {
 
 // EncodeRecord encodes a numeric record: value i goes through enc[i] (a
 // single encoder may be reused across fields by passing it at several
-// positions).
+// positions). Up to 64 fields it allocates only its result.
 func (e *RecordEncoder) EncodeRecord(values []float64, enc []FieldEncoder) *bitvec.Vector {
 	if len(values) != len(e.keys) || len(enc) != len(e.keys) {
 		panic(fmt.Sprintf("embed: record wants %d values+encoders, got %d/%d",
 			len(e.keys), len(values), len(enc)))
 	}
-	vecs := make([]*bitvec.Vector, len(values))
+	var buf [64]*bitvec.Vector
+	vecs := buf[:0]
 	for i, x := range values {
-		vecs[i] = enc[i].Encode(x)
+		vecs = append(vecs, enc[i].Encode(x))
 	}
 	return e.EncodeVectors(vecs)
 }

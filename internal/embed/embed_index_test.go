@@ -109,8 +109,8 @@ func TestIndexedLookupRebuildsAfterManyGets(t *testing.T) {
 	im.SetIndexConfig(index.Config{MinSize: 50, Candidates: 1 << 20})
 	fillItems(im, 60)
 	im.Lookup(bitvec.Random(d, rng.Sub(1, "warm"))) // builds index over 60
-	if im.ixLen != 60 {
-		t.Fatalf("index covers %d, want 60", im.ixLen)
+	if im.set.Load().Indexed() != 60 {
+		t.Fatalf("index covers %d, want 60", im.set.Load().Indexed())
 	}
 	// Exceed the rebuild slack (64 for small prefixes).
 	for i := 0; i < 70; i++ {
@@ -121,8 +121,8 @@ func TestIndexedLookupRebuildsAfterManyGets(t *testing.T) {
 	if got != "extra/42" {
 		t.Fatalf("post-rebuild lookup got %q", got)
 	}
-	if im.ixLen != 130 {
-		t.Fatalf("index covers %d after rebuild, want 130", im.ixLen)
+	if im.set.Load().Indexed() != 130 {
+		t.Fatalf("index covers %d after rebuild, want 130", im.set.Load().Indexed())
 	}
 }
 
@@ -132,7 +132,7 @@ func TestDisabledIndexNeverBuilds(t *testing.T) {
 	im.SetIndexConfig(index.Config{Disabled: true, MinSize: 1})
 	fillItems(im, 100)
 	im.Lookup(bitvec.Random(d, rng.Sub(7, "disabled")))
-	if im.ix != nil {
+	if im.set.Load().Indexed() != 0 {
 		t.Fatal("disabled config built an index")
 	}
 }
@@ -149,6 +149,11 @@ func TestConcurrentIndexedLookups(t *testing.T) {
 	for i := range queries {
 		queries[i] = flipSome(im.Get(syms[i%n]), 0.25, src)
 	}
+	// A twin that has never been searched: its goroutines race on the
+	// first Lookup's Set construction.
+	cold := NewItemMemory(d, 11)
+	cold.SetIndexConfig(index.Config{MinSize: 100})
+	fillItems(cold, n)
 	want := make([]string, len(queries))
 	for i, q := range queries {
 		want[i], _, _ = im.Lookup(q)
@@ -156,14 +161,14 @@ func TestConcurrentIndexedLookups(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func() {
+		go func(mem *ItemMemory) {
 			defer wg.Done()
 			for i, q := range queries {
-				if got, _, _ := im.Lookup(q); got != want[i] {
+				if got, _, _ := mem.Lookup(q); got != want[i] {
 					t.Errorf("concurrent lookup %d got %q, want %q", i, got, want[i])
 				}
 			}
-		}()
+		}([]*ItemMemory{im, cold}[g%2])
 	}
 	wg.Wait()
 }

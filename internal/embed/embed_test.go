@@ -451,11 +451,18 @@ func TestRecordEncoderAllocations(t *testing.T) {
 	re := NewRecordEncoder(d, 18, 9)
 	enc := NewCircularEncoder(core.CircularSetR(24, d, 0.1, rng.New(8)), 2*math.Pi)
 	vals := make([]*bitvec.Vector, 18)
+	xs := make([]float64, 18)
+	fields := make([]FieldEncoder, 18)
 	for i := range vals {
-		vals[i] = enc.Encode(float64(i) / 3)
+		xs[i] = float64(i) / 3
+		vals[i] = enc.Encode(xs[i])
+		fields[i] = enc
 	}
 	if n := testing.AllocsPerRun(20, func() { re.EncodeVectors(vals) }); n != 2 {
 		t.Errorf("EncodeVectors made %v allocations, want 2", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { re.EncodeRecord(xs, fields) }); n != 2 {
+		t.Errorf("EncodeRecord made %v allocations, want 2", n)
 	}
 }
 

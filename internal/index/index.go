@@ -1,11 +1,23 @@
-// Package index provides sublinear associative lookup over collections of
-// binary hypervectors: a bit-sampling sketch index with exact re-ranking.
+// Package index owns the nearest-vector search over collections of binary
+// hypervectors: the step both of the paper's learning frameworks end in
+// (the class vector of Section 2.2, the label level of Section 2.3) and the
+// cleanup of symbolic HDC.
 //
-// Every recall path in the reproduction — item-memory cleanup, classifier
-// nearest-class, SDM activation — is "scan n vectors for the smallest (or a
-// bounded) Hamming distance to a query". The exact scan costs n·d/64 word
-// operations; past a few thousand stored vectors it dominates serving
-// latency. This package trades a tunable, measurable amount of recall for a
+// Set is the one type consumers search through. It holds an immutable
+// collection and answers Nearest and WithinRadius, and it alone decides
+// between two ways of answering:
+//
+//   - Below Config.MinSize, or with Disabled set, every query is an exact
+//     scan (bitvec.Nearest, or bitvec.DistanceBounded for a radius).
+//   - Past it, a bit-sampling sketch index (Index) covers a prefix of the
+//     collection, and an exact scan covers the vectors appended since. A
+//     tail vector wins only on a strictly smaller distance, so exact ties
+//     still resolve to the lowest index. NewSet(vs, cfg, prev) keeps prev's
+//     index while that tail stays within an eighth of the indexed prefix
+//     (at least 64 vectors), so a trickle of appends never forces a
+//     rebuild; past that bound it builds a new index over all of vs.
+//
+// The sketch index trades a tunable, measurable amount of recall for a
 // large constant-factor win by exploiting the concentration of pairwise
 // Hamming distances in high dimension (the codeword-spectrum effect): for a
 // query correlated with one stored vector and quasi-orthogonal to the rest,
@@ -13,36 +25,34 @@
 // Θ(√m·d/m), so a small signature separates the true neighbor from the bulk
 // with overwhelming probability.
 //
-// The structure is deliberately simple and allocation-conscious:
-//
 //   - Build: sample m distinct bit positions (deterministically from a
 //     seed), extract each stored vector's m-bit signature, pack the
 //     signatures into contiguous uint64 words. O(n·m) bit extracts, done
-//     once per generation (serving snapshots build one index per published
-//     snapshot, so reads stay lock-free).
+//     once per generation.
 //
 //   - Nearest(q): extract q's signature, compute the n signature distances
 //     (m/64-word popcounts — the sublinear pass), select the C candidates
 //     with the smallest signature distance via an O(n + m) counting
-//     selection, then exactly re-rank only those C with the
-//     threshold-pruned kernel bitvec.NearestPruned. No false positives are
-//     possible — the winner's reported distance is exact — and the miss
-//     probability decays exponentially in m and C.
+//     selection, then exactly re-rank only those C, each with the
+//     early-abandon kernel bitvec.DistanceBounded against the best distance
+//     so far. No false positives are possible — the winner's reported
+//     distance is exact — and the miss probability decays exponentially in
+//     m and C.
 //
 //   - WithinRadius(q, r): screen by signature distance against a
 //     conservatively slack-widened scaled radius, then verify every
-//     survivor with the capped-popcount kernel bitvec.WithinDistance.
-//     Results contain no false positives; false negatives are bounded by
-//     the configured slack (RadiusSlack standard deviations). When the
-//     screen has no discriminative power (radius near d/2, the sparse-SDM
-//     operating point), it detects that and falls back to the exact scan.
+//     survivor exactly with bitvec.DistanceBounded. Results contain no false
+//     positives; false negatives are bounded by the configured slack
+//     (RadiusSlack standard deviations). When the screen has no
+//     discriminative power (radius near d/2, the sparse-SDM operating
+//     point), it detects that and falls back to the exact scan.
 //
-// Exactness contract: with Candidates >= Len() the candidate set is every
-// stored vector in index order, so Nearest is bit-identical to the linear
-// scan bitvec.Nearest — including tie resolution to the lowest index. With
-// a negative RadiusSlack, WithinRadius is the exact scan. The differential
-// tests in index_test.go pin both, and measure recall floors for the
-// approximate modes.
+// Exactness contract: with Candidates >= the indexed prefix the candidate
+// set is every indexed vector in index order, so Nearest is bit-identical
+// to the linear scan bitvec.Nearest — including tie resolution to the
+// lowest index. With a negative RadiusSlack, WithinRadius is the exact
+// scan. The differential tests and FuzzSetNearest pin both, and the tests
+// measure recall floors for the approximate modes.
 package index
 
 import (
@@ -55,13 +65,12 @@ import (
 	"hdcirc/internal/rng"
 )
 
-// Config parameterizes an Index. The zero value selects the defaults below
-// (it is NOT disabled); set Disabled to opt out of auto-indexing in the
-// layers that embed one.
+// Config parameterizes a Set and its sketch index. The zero value selects
+// the defaults below (it is NOT disabled); set Disabled to keep a Set on
+// the exact scan at any size.
 type Config struct {
-	// Disabled turns auto-indexing off in consumers (ItemMemory,
-	// Classifier, serve snapshots); they fall back to the exact linear
-	// scan regardless of size.
+	// Disabled keeps every Set on the exact linear scan regardless of
+	// size.
 	Disabled bool
 	// SignatureBits is m, the number of sampled bit positions per stored
 	// vector; <= 0 selects 256. Larger m sharpens the sketch estimate
@@ -72,7 +81,7 @@ type Config struct {
 	// <= 0 selects max(64, n/32). C >= n makes Nearest bit-identical to
 	// the exact linear scan.
 	Candidates int
-	// MinSize is the collection size below which consumers keep the plain
+	// MinSize is the collection size below which a Set keeps the plain
 	// linear scan (the sketch pass only pays for itself past a few
 	// thousand vectors); <= 0 selects 2048.
 	MinSize int
@@ -110,23 +119,108 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// Enabled reports whether a collection of n vectors should be indexed
+// enabled reports whether a collection of n vectors should be indexed
 // under this configuration: not disabled and at least MinSize (after
 // defaulting) vectors.
-func (c Config) Enabled(n int) bool {
+func (c Config) enabled(n int) bool {
 	return !c.Disabled && n >= c.normalized().MinSize
 }
 
-// MaxTail is how many un-indexed vectors may accumulate behind an index of
-// the given size before a consumer should rebuild rather than serve the
-// tail with an exact pruned scan: an eighth of the indexed prefix, at
-// least 64. Below this the tail scan stays cheap relative to the indexed
-// prefix, and steady add/lookup interleavings amortize rebuild cost.
-func MaxTail(indexed int) int {
+// maxTail is how many un-indexed vectors may accumulate behind an index of
+// the given size before NewSet rebuilds rather than serve the tail with an
+// exact scan: an eighth of the indexed prefix, at least 64. Below this the
+// tail scan stays cheap relative to the indexed prefix, and steady
+// append/lookup interleavings amortize rebuild cost.
+func maxTail(indexed int) int {
 	if s := indexed / 8; s > 64 {
 		return s
 	}
 	return 64
+}
+
+// Set is an immutable collection of hypervectors that answers nearest and
+// radius queries, scanning exactly or through a sketch index over a prefix
+// as the package comment describes. It shares (does not copy) the vectors;
+// they must not be mutated for the set's lifetime. All methods are pure
+// reads, safe for any number of concurrent goroutines.
+type Set struct {
+	vecs []*bitvec.Vector
+	ix   *Index // covers vecs[:ix.Len()]; nil while the set scans exactly
+}
+
+// NewSet returns the Set over vs under cfg. prev may be nil; otherwise vs
+// must extend prev's vectors by appending (an append-only collection's
+// next generation), and prev's index is kept while the vectors appended
+// past it number at most an eighth of its size (at least 64). It panics on
+// mismatched dimensions once the set is large enough to index.
+func NewSet(vs []*bitvec.Vector, cfg Config, prev *Set) *Set {
+	s := &Set{vecs: vs}
+	if !cfg.enabled(len(vs)) {
+		return s
+	}
+	if prev != nil && prev.ix != nil && len(vs)-prev.ix.Len() <= maxTail(prev.ix.Len()) {
+		s.ix = prev.ix
+	} else {
+		s.ix = New(vs, cfg)
+	}
+	return s
+}
+
+// Len returns the number of vectors in the set.
+func (s *Set) Len() int { return len(s.vecs) }
+
+// Vectors returns the set's vectors in order (shared, not copied; do not
+// modify).
+func (s *Set) Vectors() []*bitvec.Vector { return s.vecs }
+
+// Indexed returns how many leading vectors the sketch index covers: 0
+// while the set scans exactly, Len() right after a build.
+func (s *Set) Indexed() int {
+	if s.ix == nil {
+		return 0
+	}
+	return s.ix.Len()
+}
+
+// Nearest returns the index and exact Hamming distance of the nearest
+// vector in the set (approximate past the index threshold unless
+// Candidates covers the indexed prefix). Exact ties resolve to the lowest
+// index. It panics on an empty set.
+func (s *Set) Nearest(q *bitvec.Vector) (idx, hd int) {
+	if s.ix == nil {
+		return bitvec.Nearest(q, s.vecs)
+	}
+	idx, hd = s.ix.Nearest(q)
+	// The tail appended since the build wins only when strictly nearer, so
+	// the lower-indexed prefix keeps exact ties.
+	n := s.ix.Len()
+	if ti, th := bitvec.NearestPruned(q, s.vecs[n:], hd); ti >= 0 {
+		idx, hd = n+ti, th
+	}
+	return idx, hd
+}
+
+// WithinRadius appends to out the indexes of every vector within Hamming
+// radius r of q, ascending and with no false positives, and returns out.
+// The indexed prefix is screened as Index.WithinRadius describes; the rest
+// is scanned exactly.
+func (s *Set) WithinRadius(q *bitvec.Vector, r int, out []int) []int {
+	n := 0
+	if s.ix != nil {
+		out = s.ix.WithinRadius(q, r, out)
+		n = s.ix.Len()
+	}
+	return appendWithin(out, q, s.vecs[n:], n, r)
+}
+
+// appendWithin appends base+i for every vs[i] within Hamming radius r of q.
+func appendWithin(out []int, q *bitvec.Vector, vs []*bitvec.Vector, base, r int) []int {
+	for i, v := range vs {
+		if _, within := bitvec.DistanceBounded(v, q, r); within {
+			out = append(out, base+i)
+		}
+	}
+	return out
 }
 
 // Index is a bit-sampling sketch index over a fixed slice of vectors. It
@@ -146,7 +240,8 @@ type Index struct {
 
 // New builds an index over vs with the given configuration. It panics on an
 // empty collection or mismatched dimensions — indexing nothing is a
-// programming error, and the consumers all gate on MinSize first.
+// programming error, and NewSet gates on MinSize first. Consumers search
+// through a Set; New is the sketch alone, for measuring it.
 func New(vs []*bitvec.Vector, cfg Config) *Index {
 	if len(vs) == 0 {
 		panic("index: cannot index zero vectors")
@@ -221,9 +316,6 @@ func (ix *Index) signatureInto(v *bitvec.Vector, dst []uint64) {
 // Len returns the number of indexed vectors.
 func (ix *Index) Len() int { return len(ix.vecs) }
 
-// Dim returns the indexed hypervector dimension.
-func (ix *Index) Dim() int { return ix.d }
-
 // SignatureBits returns the resolved signature width m.
 func (ix *Index) SignatureBits() int { return ix.m }
 
@@ -236,7 +328,7 @@ func (ix *Index) Exact() bool { return ix.candidates >= len(ix.vecs) }
 
 // Nearest returns the index and exact Hamming distance of the
 // (approximate) nearest stored vector: candidate generation by signature
-// distance, exact re-rank of the top C candidates with the pruned kernel.
+// distance, exact re-rank of the top C candidates with bitvec.DistanceBounded.
 // Ties — in signature distance during selection and in exact distance
 // during re-rank — resolve toward the lowest index, so exact mode (C == n)
 // reproduces bitvec.Nearest bit for bit.
@@ -329,12 +421,7 @@ func (ix *Index) WithinRadius(q *bitvec.Vector, r int, out []int) []int {
 	}
 	t, useful := ix.radiusThreshold(r)
 	if !useful {
-		for i, v := range ix.vecs {
-			if bitvec.WithinDistance(v, q, r) {
-				out = append(out, i)
-			}
-		}
-		return out
+		return appendWithin(out, q, ix.vecs, 0, r)
 	}
 	sw := ix.sigWords
 	qsig := make([]uint64, sw)
@@ -348,7 +435,7 @@ func (ix *Index) WithinRadius(q *bitvec.Vector, r int, out []int) []int {
 		if sd > t {
 			continue
 		}
-		if bitvec.WithinDistance(v, q, r) {
+		if _, within := bitvec.DistanceBounded(v, q, r); within {
 			out = append(out, i)
 		}
 	}

@@ -33,13 +33,13 @@ func TestConfigDefaults(t *testing.T) {
 	if c.SignatureBits != 256 || c.MinSize != 2048 || c.RadiusSlack != 5 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
-	if !(Config{}).Enabled(2048) {
+	if !(Config{}).enabled(2048) {
 		t.Fatal("zero config should enable at MinSize")
 	}
-	if (Config{}).Enabled(2047) {
+	if (Config{}).enabled(2047) {
 		t.Fatal("zero config should not enable below MinSize")
 	}
-	if (Config{Disabled: true}).Enabled(1 << 20) {
+	if (Config{Disabled: true}).enabled(1 << 20) {
 		t.Fatal("disabled config must never enable")
 	}
 }
@@ -148,7 +148,7 @@ func TestWithinRadiusNoFalsePositivesAndHighRecall(t *testing.T) {
 		q := noisy(vs[i%n], 0.1, src)
 		var want []int
 		for j, v := range vs {
-			if bitvec.WithinDistance(v, q, r) {
+			if _, within := bitvec.DistanceBounded(v, q, r); within {
 				want = append(want, j)
 			}
 		}
@@ -161,7 +161,7 @@ func TestWithinRadiusNoFalsePositivesAndHighRecall(t *testing.T) {
 				t.Fatalf("results not ascending: %v", got)
 			}
 			prev = g
-			if !bitvec.WithinDistance(vs[g], q, r) {
+			if _, within := bitvec.DistanceBounded(vs[g], q, r); !within {
 				t.Fatalf("false positive index %d", g)
 			}
 			gotSet[g] = true
@@ -190,7 +190,7 @@ func TestWithinRadiusExactFallbacks(t *testing.T) {
 		t.Helper()
 		var want []int
 		for j, v := range vs {
-			if bitvec.WithinDistance(v, q, r) {
+			if _, within := bitvec.DistanceBounded(v, q, r); within {
 				want = append(want, j)
 			}
 		}

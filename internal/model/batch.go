@@ -46,7 +46,7 @@ func (c *Classifier) AddBatch(p *batch.Pool, classes []int, hvs []*bitvec.Vector
 // predicted classes and normalized distances in input order. The result is
 // bit-identical to calling Predict sequentially.
 func (c *Classifier) PredictBatch(p *batch.Pool, hvs []*bitvec.Vector) (classes []int, distances []float64) {
-	c.finalized() // finalize once up front rather than racing in the workers
+	c.Prototypes() // finalize once up front rather than racing in the workers
 	classes = make([]int, len(hvs))
 	distances = make([]float64, len(hvs))
 	p.ForEach(len(hvs), func(i int) {

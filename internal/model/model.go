@@ -47,19 +47,10 @@ type Classifier struct {
 	tie     bitvec.TieBreak
 	src     *rng.Stream
 	tieVecs []*bitvec.Vector // optional fixed per-class tie vectors; see SetTieVectors
-	ixCfg   index.Config     // sketch-index knobs for large-k Predict; see SetIndexConfig
+	ixCfg   index.Config     // how Predict searches the prototypes; see SetIndexConfig
 
 	mu    sync.Mutex                // serializes finalization
-	class atomic.Pointer[classView] // finalized prototypes (+ index); nil until finalize
-}
-
-// classView is one finalized generation of the prototypes: the thresholded
-// class vectors plus, past the index threshold, the sketch index Predict
-// scans instead of the full list. Published as a unit through the atomic
-// pointer so readers never see a prototype/index mismatch.
-type classView struct {
-	protos []*bitvec.Vector
-	ix     *index.Index // nil below the threshold or when disabled
+	class atomic.Pointer[index.Set] // finalized prototypes; nil until finalize
 }
 
 // NewClassifier creates a classifier over k classes and dimension d. Ties
@@ -110,7 +101,7 @@ func (c *Classifier) SetTieVectors(tvs []*bitvec.Vector) {
 	c.class.Store(nil)
 }
 
-// SetIndexConfig replaces the classifier's sketch-index configuration (see
+// SetIndexConfig replaces the configuration of the prototype Set (see
 // index.Config). With the defaults, Predict switches from the exact linear
 // scan to sublinear indexed search once the class count reaches
 // index.DefaultConfig().MinSize; set Disabled for exact-only prediction at
@@ -149,10 +140,9 @@ func (c *Classifier) Finalize() {
 	c.finalizeLocked()
 }
 
-// finalizeLocked thresholds under c.mu and publishes the prototype view,
-// building the sketch index when the class count is past the configured
-// threshold.
-func (c *Classifier) finalizeLocked() *classView {
+// finalizeLocked thresholds under c.mu and publishes the prototypes as a
+// Set under the classifier's index configuration.
+func (c *Classifier) finalizeLocked() *index.Set {
 	vs := make([]*bitvec.Vector, c.k)
 	for i, acc := range c.accs {
 		if c.tieVecs != nil {
@@ -161,19 +151,18 @@ func (c *Classifier) finalizeLocked() *classView {
 			vs[i] = acc.Threshold(c.tie, c.src)
 		}
 	}
-	view := &classView{protos: vs}
-	if c.ixCfg.Enabled(c.k) {
-		view.ix = index.New(vs, c.ixCfg)
-	}
-	c.class.Store(view)
-	return view
+	set := index.NewSet(vs, c.ixCfg, nil)
+	c.class.Store(set)
+	return set
 }
 
-// finalizedView returns the published prototype view, finalizing at most
-// once when the cache is empty. Safe for concurrent callers: the fast path
-// is a single atomic load, and the slow path double-checks under the mutex
-// so racing first readers agree on one finalization.
-func (c *Classifier) finalizedView() *classView {
+// Prototypes returns the finalized class vectors, in class order, as the
+// immutable Set Predict searches, finalizing at most once when the cache
+// is empty. Safe for concurrent callers: the fast path is a single atomic
+// load, and the slow path double-checks under the mutex so racing first
+// readers agree on one finalization. The Set stays valid after later
+// writes; they publish a new one.
+func (c *Classifier) Prototypes() *index.Set {
 	if p := c.class.Load(); p != nil {
 		return p
 	}
@@ -185,39 +174,25 @@ func (c *Classifier) finalizedView() *classView {
 	return c.finalizeLocked()
 }
 
-// finalized returns the published prototype slice (see finalizedView).
-func (c *Classifier) finalized() []*bitvec.Vector {
-	return c.finalizedView().protos
-}
-
 // ClassVector returns class i's prototype, finalizing if necessary. The
 // returned vector is shared — do not mutate it.
 func (c *Classifier) ClassVector(i int) *bitvec.Vector {
 	c.checkClass(i)
-	return c.finalized()[i]
+	return c.Prototypes().Vectors()[i]
 }
 
 // Predict returns the class whose prototype is most similar to the query,
-// and the corresponding normalized distance. Below the index threshold the
-// scan runs on the fused nearest-neighbor kernel (no per-class allocation
-// or float division, early exit per candidate); for large class counts it
-// goes through the sketch index built at finalization (sublinear candidate
-// generation, exact re-rank — see SetIndexConfig). Ties resolve to the
-// lowest class index in both paths.
+// and the corresponding normalized distance, searching the prototype Set:
+// an exact scan below the index threshold, the sketch index past it (see
+// SetIndexConfig). Ties resolve to the lowest class index.
 func (c *Classifier) Predict(q *bitvec.Vector) (class int, distance float64) {
-	view := c.finalizedView()
-	var idx, hd int
-	if view.ix != nil {
-		idx, hd = view.ix.Nearest(q)
-	} else {
-		idx, hd = bitvec.Nearest(q, view.protos)
-	}
+	idx, hd := c.Prototypes().Nearest(q)
 	return idx, float64(hd) / float64(c.d)
 }
 
 // Scores returns the similarity of the query to every class prototype.
 func (c *Classifier) Scores(q *bitvec.Vector) []float64 {
-	hds := bitvec.DistanceMany(q, c.finalized(), make([]int, c.k))
+	hds := bitvec.DistanceMany(q, c.Prototypes().Vectors(), make([]int, c.k))
 	out := make([]float64, c.k)
 	for i, hd := range hds {
 		out[i] = 1 - float64(hd)/float64(c.d)

@@ -26,10 +26,10 @@ func TestPredictIndexedExactModeMatchesLinear(t *testing.T) {
 	const k, d = 400, 768
 	indexed, samples := largeKFixture(k, d, index.Config{MinSize: 100, Candidates: k})
 	linear, _ := largeKFixture(k, d, index.Config{Disabled: true})
-	if indexed.finalizedView().ix == nil {
+	if indexed.Prototypes().Indexed() == 0 {
 		t.Fatal("index did not engage at k=400 with MinSize=100")
 	}
-	if linear.finalizedView().ix != nil {
+	if linear.Prototypes().Indexed() != 0 {
 		t.Fatal("disabled config built an index")
 	}
 	src := rng.Sub(9, "queries")
@@ -76,7 +76,7 @@ func TestPredictIndexedApproximateRecall(t *testing.T) {
 
 func TestPredictBelowThresholdStaysLinear(t *testing.T) {
 	c, _ := largeKFixture(32, 256, index.DefaultConfig())
-	if c.finalizedView().ix != nil {
+	if c.Prototypes().Indexed() != 0 {
 		t.Fatal("default config indexed a 32-class model")
 	}
 }
@@ -85,8 +85,7 @@ func TestSetIndexConfigInvalidatesFinalization(t *testing.T) {
 	c, samples := largeKFixture(200, 256, index.Config{Disabled: true})
 	c.Predict(samples[0]) // finalize without index
 	c.SetIndexConfig(index.Config{MinSize: 50, Candidates: 200})
-	view := c.finalizedView()
-	if view.ix == nil {
+	if c.Prototypes().Indexed() == 0 {
 		t.Fatal("re-finalization after SetIndexConfig did not build the index")
 	}
 }

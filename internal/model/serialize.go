@@ -29,7 +29,7 @@ const (
 // (the accumulators) is intentionally not persisted; a loaded model serves
 // inference only.
 func (c *Classifier) WriteTo(w io.Writer) (int64, error) {
-	class := c.finalized()
+	class := c.Prototypes().Vectors()
 	header := make([]byte, 4+4+8)
 	copy(header, classifierMagic)
 	binary.LittleEndian.PutUint32(header[4:], modelVersion)
@@ -94,11 +94,7 @@ func ReadClassifier(r io.Reader, seed uint64) (*Classifier, error) {
 	for i, v := range vecs {
 		c.accs[i].Add(v)
 	}
-	view := &classView{protos: vecs}
-	if c.ixCfg.Enabled(c.k) {
-		view.ix = index.New(vecs, c.ixCfg)
-	}
-	c.class.Store(view)
+	c.class.Store(index.NewSet(vecs, c.ixCfg, nil))
 	return c, nil
 }
 

@@ -26,8 +26,7 @@ import (
 type Memory struct {
 	d         int
 	radius    int
-	addresses []*bitvec.Vector      // fixed at New, never mutated
-	addrIx    *index.Index          // optional sketch index over addresses
+	addresses *index.Set            // fixed at New, never mutated
 	counters  []*bitvec.Accumulator // per hard location bipolar counters
 }
 
@@ -41,14 +40,15 @@ type Config struct {
 
 	// Index optionally routes the activation scan through a bit-sampling
 	// sketch index over the hard-location addresses (built once at New —
-	// the addresses never change). Candidates
-	// are screened by signature distance against the slack-widened scaled
-	// radius, then verified exactly, so activations contain no false
-	// positives; misses are bounded by the configured RadiusSlack. Note
-	// the screen only has power when the radius sits well below d/2: at
-	// the classic sparse operating point (activation probability ~1%,
-	// radius just under d/2) the index detects that and falls back to the
-	// exact capped-popcount scan. Nil keeps activation exact.
+	// the addresses never change), under the usual index.Set threshold.
+	// Candidates are screened by signature distance against the
+	// slack-widened scaled radius, then verified exactly, so activations
+	// contain no false positives; misses are bounded by the configured
+	// RadiusSlack. Note the screen only has power when the radius sits
+	// well below d/2: at the classic sparse operating point (activation
+	// probability ~1%, radius just under d/2) the index detects that and
+	// falls back to the exact capped-popcount scan. Nil keeps activation
+	// exact.
 	Index *index.Config
 }
 
@@ -114,48 +114,41 @@ func New(cfg Config) *Memory {
 		panic(fmt.Sprintf("sdm: radius %d outside [0, %d)", cfg.Radius, cfg.Dim))
 	}
 	src := rng.Sub(cfg.Seed, "sdm/addresses")
-	m := &Memory{
+	addresses := make([]*bitvec.Vector, cfg.Locations)
+	counters := make([]*bitvec.Accumulator, cfg.Locations)
+	for i := range addresses {
+		addresses[i] = bitvec.Random(cfg.Dim, src)
+		counters[i] = bitvec.NewAccumulator(cfg.Dim)
+	}
+	ixCfg := index.Config{Disabled: true}
+	if cfg.Index != nil {
+		ixCfg = *cfg.Index
+	}
+	return &Memory{
 		d:         cfg.Dim,
 		radius:    cfg.Radius,
-		addresses: make([]*bitvec.Vector, cfg.Locations),
-		counters:  make([]*bitvec.Accumulator, cfg.Locations),
+		addresses: index.NewSet(addresses, ixCfg, nil),
+		counters:  counters,
 	}
-	for i := range m.addresses {
-		m.addresses[i] = bitvec.Random(cfg.Dim, src)
-		m.counters[i] = bitvec.NewAccumulator(cfg.Dim)
-	}
-	if cfg.Index != nil && cfg.Index.Enabled(len(m.addresses)) {
-		m.addrIx = index.New(m.addresses, *cfg.Index)
-	}
-	return m
 }
 
 // Dim returns the hypervector dimension.
 func (m *Memory) Dim() int { return m.d }
 
 // Locations returns the number of hard locations.
-func (m *Memory) Locations() int { return len(m.addresses) }
+func (m *Memory) Locations() int { return m.addresses.Len() }
 
 // Radius returns the activation radius.
 func (m *Memory) Radius() int { return m.radius }
 
 // activated returns the indexes of hard locations within the radius of a,
-// ascending. With an address index configured, candidates come from the
+// ascending. With an address index engaged, candidates come from the
 // signature screen plus exact verification; otherwise (and whenever the
-// screen has no power at this radius) the scan is the exact capped-popcount
+// screen has no power at this radius) the scan is the exact early-abandon
 // kernel: in the sparse regime ~99% of locations miss, and almost all of
 // them exceed the radius within the first few words.
 func (m *Memory) activated(a *bitvec.Vector) []int {
-	if m.addrIx != nil {
-		return m.addrIx.WithinRadius(a, m.radius, nil)
-	}
-	var out []int
-	for i, addr := range m.addresses {
-		if bitvec.WithinDistance(addr, a, m.radius) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return m.addresses.WithinRadius(a, m.radius, nil)
 }
 
 // ActivationCount returns how many hard locations the address activates —

@@ -16,7 +16,7 @@ func indexedPair(t *testing.T, cfg Config, ixCfg index.Config) (exact, indexed *
 	withIx := cfg
 	withIx.Index = &ixCfg
 	indexed = New(withIx)
-	if indexed.addrIx == nil {
+	if indexed.addresses.Indexed() == 0 {
 		t.Fatalf("index did not engage (locations=%d, MinSize=%d)", cfg.Locations, ixCfg.MinSize)
 	}
 	return exact, indexed
@@ -38,7 +38,7 @@ func TestIndexedActivationTightRadiusMatchesExact(t *testing.T) {
 			probe = bitvec.Random(d, src)
 		} else {
 			// Near a hard location, inside the radius.
-			probe = exact.addresses[i%len(exact.addresses)].Clone()
+			probe = exact.addresses.Vectors()[i%exact.addresses.Len()].Clone()
 			for f := 0; f < d/8; f++ {
 				probe.FlipBit(int(src.Uint64() % uint64(d)))
 			}
@@ -88,7 +88,7 @@ func TestIndexedReadWriteRoundTrip(t *testing.T) {
 	// distance ~d/2 from everything, so a sub-d/2 radius (the screen
 	// regime this test exercises) only ever activates locations the data
 	// is actually close to.
-	stored := m.addresses[0].Clone()
+	stored := m.addresses.Vectors()[0].Clone()
 	for f := 0; f < d/16; f++ {
 		stored.FlipBit(int(src.Uint64() % uint64(d)))
 	}

@@ -41,7 +41,7 @@ func TestSnapshotLookupIndexedMatchesExactConfig(t *testing.T) {
 	se := internSymbols(t, exact, n)
 	engaged := false
 	for i := range si.shards {
-		if si.shards[i].itemIx != nil {
+		if si.shards[i].items.Indexed() != 0 {
 			engaged = true
 		}
 	}
@@ -118,7 +118,7 @@ func TestSnapshotIndexReusedAcrossCleanBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range snap1.shards {
-		if snap2.shards[i].itemIx != snap1.shards[i].itemIx {
+		if snap2.shards[i].items != snap1.shards[i].items {
 			t.Fatalf("shard %d item index not shared across an item-clean batch", i)
 		}
 	}
@@ -130,7 +130,7 @@ func TestSnapshotIndexReusedAcrossCleanBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range snap3.shards {
-		if snap3.shards[i].itemIx != snap2.shards[i].itemIx {
+		if snap3.shards[i].items.Indexed() != snap2.shards[i].items.Indexed() {
 			t.Fatalf("shard %d index rebuilt for a one-symbol batch", i)
 		}
 	}
@@ -153,10 +153,12 @@ func TestSnapshotIndexReusedAcrossCleanBatches(t *testing.T) {
 	}
 	for i := range snap4.shards {
 		v := &snap4.shards[i]
-		if v.itemIx == nil {
+		if v.items.Indexed() == 0 {
 			t.Fatalf("shard %d lost its index", i)
 		}
-		if tail := len(v.vecs) - v.itemIx.Len(); tail > index.MaxTail(v.itemIx.Len()) {
+		// 64 is the rebuild bound behind any index of fewer than 512
+		// vectors, and no shard here holds that many.
+		if tail := v.items.Len() - v.items.Indexed(); tail > 64 {
 			t.Fatalf("shard %d tail %d exceeds rebuild bound", i, tail)
 		}
 	}
@@ -186,7 +188,7 @@ func TestSnapshotPredictIndexedExactModeMatchesLinear(t *testing.T) {
 	se := mk(&index.Config{Disabled: true})
 	engaged := false
 	for i := range si.shards {
-		if si.shards[i].protoIx != nil {
+		if si.shards[i].protos.Indexed() != 0 {
 			engaged = true
 		}
 	}
@@ -200,6 +202,35 @@ func TestSnapshotPredictIndexedExactModeMatchesLinear(t *testing.T) {
 		gc, gd := si.Predict(q)
 		if gc != wc || gd != wd {
 			t.Fatalf("query %d: indexed (%d,%v), linear (%d,%v)", i, gc, gd, wc, wd)
+		}
+	}
+}
+
+func TestShardViewSharesClassifierPrototypes(t *testing.T) {
+	// Each shard's prototypes are indexed once: the snapshot publishes the
+	// shard classifier's own Set, built under the server's Index config.
+	const d, k = 256, 600
+	s, err := NewServer(Config{Dim: d, Classes: k, Shards: 3, Seed: 4,
+		Index: &index.Config{MinSize: 100, Candidates: k}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Batch
+	src := rng.Sub(5, "train")
+	for c := 0; c < k; c++ {
+		b.Train = append(b.Train, Sample{Class: c, HV: bitvec.Random(d, src)})
+	}
+	snap, err := s.ApplyBatch(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range s.shards {
+		set := snap.shards[i].protos
+		if set != st.cls.Prototypes() {
+			t.Fatalf("shard %d publishes a prototype set that is not its classifier's", i)
+		}
+		if set.Indexed() != len(st.classes) {
+			t.Fatalf("shard %d: %d of %d prototypes indexed under the server config", i, set.Indexed(), len(st.classes))
 		}
 	}
 }

@@ -72,11 +72,11 @@ type Config struct {
 	// RingPositions sizes the consistent-hashing ring used for routing;
 	// <= 0 selects max(8, 2*Shards). Must be >= Shards.
 	RingPositions int
-	// Index tunes the per-snapshot sketch indexes over each shard's item
-	// vectors and class prototypes (see index.Config). Nil selects
-	// index.DefaultConfig(): auto-indexed once a shard's collection
-	// reaches the default threshold, exact below it. Set
-	// &index.Config{Disabled: true} for exact-only lookups at any size.
+	// Index configures how each shard's item vectors and class prototypes
+	// are searched (see index.Config). Nil selects index.DefaultConfig():
+	// sketch-indexed once a shard's collection reaches the default
+	// threshold, exact below it. Set &index.Config{Disabled: true} for
+	// exact-only search at any size.
 	Index *index.Config
 	// WAL enables durability when the server is built through Open: every
 	// applied batch is written ahead to a segmented log in WAL.Dir before
@@ -100,7 +100,7 @@ type shardState struct {
 // concurrent callers too but serialize internally (single-writer).
 type Server struct {
 	cfg     Config
-	ixCfg   index.Config // resolved snapshot-index configuration
+	ixCfg   index.Config // resolved search configuration of every shard collection
 	pool    *batch.Pool
 	ring    *hashring.Ring
 	shardOf []int // global class id → shard
@@ -287,6 +287,7 @@ func NewServer(cfg Config) (*Server, error) {
 			tvs[i] = classTieVector(cfg.Seed, cfg.Dim, c)
 		}
 		st.cls.SetTieVectors(tvs)
+		st.cls.SetIndexConfig(ixCfg)
 	}
 	s.snap.Store(s.buildSnapshotLocked(nil, nil))
 	return s, nil
@@ -607,10 +608,11 @@ func (s *Server) applyLocked(b *Batch) (*Snapshot, error) {
 }
 
 // buildSnapshotLocked assembles the next snapshot under the writer lock.
-// Shards not marked dirty reuse their previous view unchanged (the slices
+// Shards not marked dirty reuse their previous view unchanged (the Sets
 // are immutable, so sharing is free); classifier-dirty shards re-finalize
-// across the pool, item-dirty shards only refresh the item view. A nil
-// slice means "all dirty" for that aspect.
+// across the pool and publish the classifier's own prototype Set,
+// item-dirty shards only refresh the item Set. A nil slice means "all
+// dirty" for that aspect.
 func (s *Server) buildSnapshotLocked(dirtyCls, dirtyItems []bool) *Snapshot {
 	prev := s.snap.Load()
 	snap := &Snapshot{
@@ -632,38 +634,22 @@ func (s *Server) buildSnapshotLocked(dirtyCls, dirtyItems []bool) *Snapshot {
 		st := s.shards[i]
 		view := shardView{classes: st.classes}
 		if !clsDirty {
-			view.proto, view.protoIx = prev.shards[i].proto, prev.shards[i].protoIx
+			view.protos = prev.shards[i].protos
 		} else if st.cls != nil {
-			st.cls.Finalize() // deterministic: fixed tie vectors
-			view.proto = make([]*bitvec.Vector, len(st.classes))
-			for l := range st.classes {
-				view.proto[l] = st.cls.ClassVector(l)
-			}
-			if s.ixCfg.Enabled(len(view.proto)) {
-				view.protoIx = index.New(view.proto, s.ixCfg)
-			}
+			view.protos = st.cls.Prototypes() // deterministic: fixed tie vectors
 		}
 		if !itemsDirty {
-			view.syms, view.vecs, view.itemIx = prev.shards[i].syms, prev.shards[i].vecs, prev.shards[i].itemIx
+			view.syms, view.items = prev.shards[i].syms, prev.shards[i].items
 		} else {
-			view.syms, view.vecs = st.items.View()
-			if s.ixCfg.Enabled(len(view.vecs)) {
-				// Item memories only append, so the previous snapshot's
-				// index still covers a prefix of this view; keep it and let
-				// Lookup scan the new tail exactly (same amortization as
-				// embed.ItemMemory) until the tail outgrows the rebuild
-				// bound — small item batches then cost O(batch), not
-				// O(items × signature).
-				var prevIx *index.Index
-				if prev != nil {
-					prevIx = prev.shards[i].itemIx
-				}
-				if prevIx != nil && len(view.vecs)-prevIx.Len() <= index.MaxTail(prevIx.Len()) {
-					view.itemIx = prevIx
-				} else {
-					view.itemIx = index.New(view.vecs, s.ixCfg)
-				}
+			// Item memories only append, so this generation extends the
+			// previous snapshot's and the Set may keep its index: small item
+			// batches then cost O(batch), not O(items × signature).
+			var prevItems *index.Set
+			if prev != nil {
+				prevItems = prev.shards[i].items
 			}
+			syms, vecs := st.items.View()
+			view.syms, view.items = syms, index.NewSet(vecs, s.ixCfg, prevItems)
 		}
 		snap.shards[i] = view
 	})

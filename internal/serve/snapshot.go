@@ -9,18 +9,15 @@ import (
 )
 
 // shardView is one shard's frozen contribution to a snapshot: finalized
-// class prototypes (in ascending global-class order), the item-memory
-// generation, and — once either collection outgrows the configured index
-// threshold — sketch indexes over them, built exactly once at snapshot
-// publication so the read plane stays lock-free. All slices, vectors and
-// indexes are immutable once published.
+// class prototypes (in ascending global-class order) and the item-memory
+// generation, each an index.Set that decides how it is searched, so the
+// read plane stays lock-free. The prototype Set is the shard classifier's
+// own. Everything is immutable once published.
 type shardView struct {
-	classes []int            // global class ids, ascending
-	proto   []*bitvec.Vector // finalized prototypes, parallel to classes
-	syms    []string         // item symbols in creation order
-	vecs    []*bitvec.Vector // item vectors, parallel to syms
-	protoIx *index.Index     // sketch index over proto; nil below threshold
-	itemIx  *index.Index     // sketch index over vecs; nil below threshold
+	classes []int      // global class ids, ascending
+	protos  *index.Set // finalized prototypes, parallel to classes; nil when the shard owns no classes
+	syms    []string   // item symbols in creation order
+	items   *index.Set // item vectors, parallel to syms
 }
 
 // Snapshot is an immutable, versioned, finalized view of every model the
@@ -54,25 +51,19 @@ func (s *Snapshot) Samples() uint64 { return s.samples }
 func (s *Snapshot) NumItems() int { return s.items }
 
 // Predict returns the class whose prototype is most similar to the query
-// and the normalized distance. Each shard scans its own prototypes with
-// the fused nearest-neighbor kernel — or, past the configured index
-// threshold, through the per-snapshot sketch index — and across shards,
-// exact ties resolve to the lowest global class id. Without an engaged
-// index (or with it in exact mode) the result is bit-identical to an
-// unsharded classifier scanning classes 0..k-1 in order.
+// and the normalized distance. Each shard searches its own prototype Set,
+// and across shards, exact ties resolve to the lowest global class id.
+// Without an engaged index (or with it in exact mode) the result is
+// bit-identical to an unsharded classifier scanning classes 0..k-1 in
+// order.
 func (s *Snapshot) Predict(q *bitvec.Vector) (class int, distance float64) {
 	bestClass, bestHD := -1, s.dim+1
 	for i := range s.shards {
 		v := &s.shards[i]
-		if len(v.proto) == 0 {
+		if v.protos == nil {
 			continue
 		}
-		var idx, hd int
-		if v.protoIx != nil {
-			idx, hd = v.protoIx.Nearest(q)
-		} else {
-			idx, hd = bitvec.Nearest(q, v.proto)
-		}
+		idx, hd := v.protos.Nearest(q)
 		c := v.classes[idx]
 		if hd < bestHD || (hd == bestHD && c < bestClass) {
 			bestClass, bestHD = c, hd
@@ -98,10 +89,10 @@ func (s *Snapshot) Scores(q *bitvec.Vector) []float64 {
 	out := make([]float64, s.classes)
 	for i := range s.shards {
 		v := &s.shards[i]
-		if len(v.proto) == 0 {
+		if v.protos == nil {
 			continue
 		}
-		hds := bitvec.DistanceMany(q, v.proto, make([]int, len(v.proto)))
+		hds := bitvec.DistanceMany(q, v.protos.Vectors(), make([]int, v.protos.Len()))
 		for l, hd := range hds {
 			out[v.classes[l]] = 1 - float64(hd)/float64(s.dim)
 		}
@@ -119,10 +110,10 @@ func (s *Snapshot) RawScores(q *bitvec.Vector) []int {
 	out := make([]int, s.classes)
 	for i := range s.shards {
 		v := &s.shards[i]
-		if len(v.proto) == 0 {
+		if v.protos == nil {
 			continue
 		}
-		hds := bitvec.DistanceMany(q, v.proto, make([]int, len(v.proto)))
+		hds := bitvec.DistanceMany(q, v.protos.Vectors(), make([]int, v.protos.Len()))
 		for l, hd := range hds {
 			out[v.classes[l]] = hd
 		}
@@ -138,38 +129,22 @@ func (s *Snapshot) ClassVector(class int) *bitvec.Vector {
 	}
 	v := &s.shards[s.shardOf[class]]
 	l := sort.SearchInts(v.classes, class)
-	return v.proto[l]
+	return v.protos.Vectors()[l]
 }
 
 // Lookup runs item-memory cleanup: the interned symbol whose vector is
-// most similar to q, with its similarity. Shards past the configured index
-// threshold are scanned through their per-snapshot sketch index (sublinear
-// candidate generation, exact re-rank); symbols interned after the index
-// was built — it may be carried over from an earlier snapshot while the
-// un-indexed tail stays small — are covered by an exact pruned scan, and
-// shards below the threshold scan linearly. Within a shard exact ties
-// resolve to the earliest-created symbol; across shards, to the
-// lexicographically smallest one. ok is false when no items are interned.
+// most similar to q, with its similarity. Each shard searches its item
+// Set; within a shard exact ties resolve to the earliest-created symbol,
+// across shards to the lexicographically smallest one. ok is false when
+// no items are interned.
 func (s *Snapshot) Lookup(q *bitvec.Vector) (symbol string, sim float64, ok bool) {
 	bestHD := s.dim + 1
 	for i := range s.shards {
 		v := &s.shards[i]
-		if len(v.vecs) == 0 {
+		if v.items.Len() == 0 {
 			continue
 		}
-		var idx, hd int
-		if v.itemIx != nil {
-			idx, hd = v.itemIx.Nearest(q)
-			if tail := v.vecs[v.itemIx.Len():]; len(tail) > 0 {
-				// Strict improvement only: the (earlier-created) indexed
-				// prefix keeps exact ties.
-				if ti, th := bitvec.NearestPruned(q, tail, hd); ti >= 0 {
-					idx, hd = v.itemIx.Len()+ti, th
-				}
-			}
-		} else {
-			idx, hd = bitvec.Nearest(q, v.vecs)
-		}
+		idx, hd := v.items.Nearest(q)
 		if hd < bestHD || (hd == bestHD && v.syms[idx] < symbol) {
 			symbol, bestHD, ok = v.syms[idx], hd, true
 		}
@@ -187,7 +162,7 @@ func (s *Snapshot) Item(symbol string) (hv *bitvec.Vector, ok bool) {
 		v := &s.shards[i]
 		for j, sym := range v.syms {
 			if sym == symbol {
-				return v.vecs[j], true
+				return v.items.Vectors()[j], true
 			}
 		}
 	}

@@ -208,8 +208,10 @@ func (s *Server) reopenLogLocked() error {
 	}
 	// Records past the applied version were written but never applied (a
 	// crash restart's suffix, or the batch a faulty append wrote without
-	// acknowledging it); they apply exactly as they would have live.
-	err = log.Replay(s.version+1, func(seq uint64, payload []byte) error {
+	// acknowledging it); they apply exactly as they would have live. The
+	// switch above refused a log that starts past version+1, so the stream
+	// cannot find the suffix compacted away.
+	_, err = log.StreamFrom(s.version+1, func(seq uint64, payload []byte) error {
 		var b Batch
 		if err := s.checkRecordLocked(seq, payload, &b); err != nil {
 			return fmt.Errorf("serve: replaying the log: %w", err)

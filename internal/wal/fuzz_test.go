@@ -70,7 +70,7 @@ func FuzzWALRecover(f *testing.F) {
 		}
 		defer l2.Close()
 		var prev uint64
-		replayErr := l2.Replay(0, func(seq uint64, payload []byte) error {
+		_, replayErr := l2.StreamFrom(l2.OldestSeq(), func(seq uint64, payload []byte) error {
 			if seq != prev+1 {
 				t.Fatalf("replay gap: %d after %d", seq, prev)
 			}

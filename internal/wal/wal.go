@@ -102,8 +102,7 @@ type segment struct {
 }
 
 // Log is an append-only segmented record log. Append/Sync/TruncateBefore/
-// Close are safe for concurrent use; Replay is only valid between Open and
-// the first Append.
+// StreamFrom/Close are safe for concurrent use.
 type Log struct {
 	dir  string
 	opts Options
@@ -115,7 +114,6 @@ type Log struct {
 	curSize  int64
 	nextSeq  uint64
 	unsynced int
-	appended bool
 	closed   bool
 	failed   error // sticky write/rotate/sync failure; see Append
 }
@@ -312,31 +310,9 @@ func (l *Log) Segments() []string {
 	return out
 }
 
-// Replay streams every intact record with seq >= from, in order, to fn.
-// It re-reads from disk (recovery already validated every frame, so a
-// failure here is a new I/O fault). Replay is only valid before the first
-// Append on this handle.
-func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) error {
-	l.mu.Lock()
-	if l.appended {
-		l.mu.Unlock()
-		return errors.New("wal: Replay after Append")
-	}
-	segs := make([]segment, len(l.segs))
-	copy(segs, l.segs)
-	l.mu.Unlock()
-
-	for _, seg := range segs {
-		if seg.firstSeq+seg.records <= from {
-			continue // fully below the replay point
-		}
-		if err := replaySegment(l.fs, seg, from, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
+// replaySegment re-reads seg from disk and passes every record with
+// seq >= from to fn. Recovery already validated every frame, so a failure
+// here is a new I/O fault.
 func replaySegment(fs vfs.FS, seg segment, from uint64, fn func(uint64, []byte) error) error {
 	f, err := fs.Open(seg.path)
 	if err != nil {
@@ -385,13 +361,14 @@ func (l *Log) OldestSeq() uint64 {
 
 // StreamFrom streams every record with seq >= from, in order, to fn, and
 // returns the sequence number one past the last record that existed when
-// the call started — the resume point for the next StreamFrom. Unlike
-// Replay it is valid at any point in the log's life, concurrently with
-// appends: the segment set and record counts are snapshotted under the
-// lock, so fn sees a consistent prefix and never a torn tail (a record's
-// frame is fully written before it is counted). This is the replication
-// catch-up reader — a follower at seq F calls StreamFrom(F+1, ship) in a
-// loop, interleaved with the apply notifier, to tail the primary's log.
+// the call started — the resume point for the next StreamFrom. It is valid
+// at any point in the log's life, concurrently with appends: the segment
+// set and record counts are snapshotted under the lock, so fn sees a
+// consistent prefix and never a torn tail (a record's frame is fully
+// written before it is counted). Recovery replays a reopened log through
+// it, and it is the replication catch-up reader — a follower at seq F
+// calls StreamFrom(F+1, ship) in a loop, interleaved with the apply
+// notifier, to tail the primary's log.
 //
 // When from precedes OldestSeq the suffix is gone (compaction): the
 // caller must re-seed from a checkpoint instead, and StreamFrom reports
@@ -477,7 +454,6 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.curSize += int64(len(buf))
 	l.nextSeq++
 	l.segs[len(l.segs)-1].records++
-	l.appended = true
 	l.unsynced++
 	if l.opts.SyncEvery > 0 && l.unsynced >= l.opts.SyncEvery {
 		if err := l.syncLocked(); err != nil {

@@ -33,12 +33,12 @@ func appendN(t *testing.T, l *Log, n int) map[uint64][]byte {
 	return out
 }
 
-// replayAll collects every record from seq 1.
+// replayAll collects every record the log still holds.
 func replayAll(t *testing.T, l *Log) map[uint64][]byte {
 	t.Helper()
 	got := make(map[uint64][]byte)
 	prev := uint64(0)
-	if err := l.Replay(0, func(seq uint64, payload []byte) error {
+	if _, err := l.StreamFrom(l.OldestSeq(), func(seq uint64, payload []byte) error {
 		if seq <= prev {
 			t.Fatalf("replay out of order: %d after %d", seq, prev)
 		}
@@ -96,14 +96,14 @@ func TestReplayFrom(t *testing.T) {
 	}
 	defer l2.Close()
 	var seqs []uint64
-	if err := l2.Replay(15, func(seq uint64, _ []byte) error {
+	if _, err := l2.StreamFrom(15, func(seq uint64, _ []byte) error {
 		seqs = append(seqs, seq)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seqs) != 6 || seqs[0] != 15 || seqs[5] != 20 {
-		t.Fatalf("Replay(15) visited %v", seqs)
+		t.Fatalf("StreamFrom(15) visited %v", seqs)
 	}
 }
 
@@ -342,18 +342,6 @@ func TestSkipTo(t *testing.T) {
 	defer l2.Close()
 	if l2.NextSeq() != 101 {
 		t.Fatalf("NextSeq after SkipTo reopen = %d, want 101", l2.NextSeq())
-	}
-}
-
-func TestReplayAfterAppendRejected(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	appendN(t, l, 1)
-	if err := l.Replay(0, func(uint64, []byte) error { return nil }); err == nil {
-		t.Error("Replay after Append accepted")
 	}
 }
 
