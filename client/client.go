@@ -435,7 +435,7 @@ func (c *Client) Snapshot(ctx context.Context, w io.Writer) (version uint64, err
 		}
 		defer drain(resp)
 		if resp.StatusCode != http.StatusOK {
-			return resp.StatusCode, decodeErrorBody(resp)
+			return resp.StatusCode, httpapi.DecodeError(resp.Body, resp.StatusCode)
 		}
 		if version, err = strconv.ParseUint(resp.Header.Get("X-Snapshot-Version"), 10, 64); err != nil {
 			return resp.StatusCode, fmt.Errorf("client: snapshot: bad X-Snapshot-Version header: %w", err)
@@ -596,7 +596,7 @@ func (c *Client) roundTrip(ctx context.Context, method, target string, body []by
 	}
 	defer drain(resp)
 	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, decodeErrorBody(resp)
+		return resp.StatusCode, httpapi.DecodeError(resp.Body, resp.StatusCode)
 	}
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
@@ -632,23 +632,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// decodeErrorBody turns a non-2xx response into the protocol's *Error,
-// synthesizing one when the body is not an envelope (a proxy in the way,
-// a panic page).
-func decodeErrorBody(resp *http.Response) error {
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-	var env struct {
-		Error *Error `json:"error"`
-	}
-	if json.Unmarshal(raw, &env) == nil && env.Error != nil && env.Error.Code != "" {
-		return env.Error
-	}
-	return &Error{
-		Code:    CodeInternal,
-		Message: fmt.Sprintf("HTTP %d with non-envelope body: %.200s", resp.StatusCode, raw),
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"net/url"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -55,15 +56,48 @@ func childFlags(addr, dataDir string) []string {
 	}
 }
 
-// buildHdcserve compiles the command under test once per test run.
+// buildHdcserve compiles the command under test once per test run. With
+// GOCOVERDIR set (CI's coverage job) the binary is coverage-instrumented,
+// and each child writes its counters there when it exits. Under go test
+// -cover, GOCOVERDIR is go test's own directory, which keeps only the
+// test binary's counters, so the children are not instrumented then.
 func buildHdcserve(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "hdcserve-under-test")
-	cmd := exec.Command("go", "build", "-o", bin, "hdcirc/cmd/hdcserve")
+	args := []string{"build", "-o", bin}
+	if os.Getenv("GOCOVERDIR") != "" && testing.CoverMode() == "" {
+		args = append(args, "-cover", "-covermode=atomic", "-coverpkg=hdcirc/...")
+	}
+	cmd := exec.Command("go", append(args, "hdcirc/cmd/hdcserve")...)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("building hdcserve: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// stopChild ends a child at test cleanup. SIGTERM comes first, so the
+// child shuts down through main and writes its coverage counters (a
+// SIGKILLed child writes none); SIGKILL follows if it has not exited
+// after its own 15 s shutdown grace plus a margin. A child the test
+// already killed and waited for is left as it is.
+func stopChild(cmd *exec.Cmd) {
+	if cmd.Process == nil || cmd.ProcessState != nil {
+		return
+	}
+	done := make(chan struct{})
+	go func() {
+		cmd.Wait()
+		close(done)
+	}()
+	if cmd.Process.Signal(syscall.SIGTERM) == nil {
+		select {
+		case <-done:
+			return
+		case <-time.After(20 * time.Second):
+		}
+	}
+	cmd.Process.Kill()
+	<-done
 }
 
 // startChild launches the binary and returns the process plus its resolved
@@ -79,12 +113,7 @@ func startChild(t *testing.T, bin, addr, dataDir string, extra ...string) (*exec
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	})
+	t.Cleanup(func() { stopChild(cmd) })
 
 	addrc := make(chan string, 1)
 	go func() {

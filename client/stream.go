@@ -31,6 +31,8 @@ import (
 	"net/http/httptrace"
 	"sync"
 	"time"
+
+	"hdcirc/internal/httpapi"
 )
 
 // stream is the shared duplex plumbing of both stream kinds.
@@ -87,7 +89,7 @@ func (c *Client) startStream(ctx context.Context, base, path string, consume fun
 		defer drain(resp)
 		s.status = resp.StatusCode
 		if resp.StatusCode != http.StatusOK {
-			s.fail(decodeErrorBody(resp))
+			s.fail(httpapi.DecodeError(resp.Body, resp.StatusCode))
 			return
 		}
 		if err := consume(json.NewDecoder(resp.Body)); err != nil {

@@ -1,13 +1,18 @@
 // Command hdcbench measures the kernel hot paths — bind, distance,
-// accumulate, threshold, rotate, majority, the paper's record encoding and
-// level-basis construction, nearest, predict, serve, the
-// sketch-indexed lookups, the durability paths and the HTTP serving API
-// (protocol v1 through the client SDK) — and emits the ns/op numbers as JSON
-// (BENCH_kernels.json by default) so the performance trajectory can be
-// tracked across changes:
+// accumulate, threshold, rotate, majority, the paper's record encoding,
+// level-basis construction and label decode, nearest, predict, serve, the
+// sketch-indexed lookups, the cluster's key→shard ring lookup, the
+// durability paths and the HTTP serving API (protocol v1 through the
+// client SDK) — and emits the ns/op numbers as JSON (BENCH_kernels.json by
+// default) so the performance trajectory can be tracked across changes:
 //
 //	go run ./cmd/hdcbench            # d=10000, writes BENCH_kernels.json
 //	go run ./cmd/hdcbench -d 4096 -o -   # custom dimension, JSON to stdout
+//
+// It is the repository's only benchmark registry. Whole experiments are
+// not timed here: perfbench's paper_tables workload times Tables 1 and 2,
+// and the internal/experiments pin tests and cmd/hdcrepro regenerate the
+// paper's results.
 //
 // Each kernel is measured -samples times in interleaved round-robin
 // order — every kernel once per round, then the next round — so drift in
@@ -58,6 +63,7 @@ import (
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/cluster"
 	"hdcirc/internal/core"
+	"hdcirc/internal/dataset"
 	"hdcirc/internal/embed"
 	"hdcirc/internal/httpapi"
 	"hdcirc/internal/index"
@@ -165,6 +171,34 @@ func main() {
 		recFields[i], recValues[i] = recEnc, float64(i)/3
 	}
 	basisSrc := rng.New(10)
+
+	// Label-decode fixture: Table 2's Beijing cell with the circular basis,
+	// trained the way internal/experiments trains it (day and hour on
+	// circular sets at r = 0.01, the year on 8 levels, each sample Y ⊗ D ⊗ H
+	// bound to its temperature on the 128-level label basis). Its held-out
+	// samples are the queries, so each lies as far from its nearest level
+	// as the model puts it, and NearestXor's early exit skips as many words
+	// as it does in Table 2.
+	temps := dataset.GenTemperature(dataset.DefaultTempConfig(), 42)
+	tempTrain, tempTest := dataset.SplitChronological(temps, 0.7)
+	tempSrc := rng.Sub(34, "bench/beijing")
+	dayEnc := embed.NewCircularEncoder(core.CircularSetR(365, *d, 0.01, tempSrc), 365)
+	hourEnc := embed.NewCircularEncoder(core.CircularSetR(24, *d, 0.01, tempSrc), 24)
+	yearEnc := embed.NewScalarEncoder(core.LevelSet(8, *d, tempSrc), 0, float64(temps[len(temps)-1].YearIndex+1))
+	tempLo, tempHi := dataset.TempRange(tempTrain)
+	labels := embed.NewScalarEncoder(core.LevelSet(128, *d, tempSrc), tempLo, tempHi)
+	encodeTemp := func(s dataset.TempSample) *bitvec.Vector {
+		return yearEnc.Encode(float64(s.YearIndex)).Xor(dayEnc.Encode(s.DayOfYear)).XorInPlace(hourEnc.Encode(s.HourOfDay))
+	}
+	reg := model.NewRegressor(*d, 35)
+	for _, s := range tempTrain {
+		reg.Add(encodeTemp(s), labels.Encode(s.Temp))
+	}
+	reg.Finalize()
+	decodeQueries := make([]*bitvec.Vector, 256)
+	for i := range decodeQueries {
+		decodeQueries[i] = encodeTemp(tempTest[i*len(tempTest)/len(decodeQueries)])
+	}
 
 	cands := make([]*bitvec.Vector, 64)
 	for i := range cands {
@@ -475,6 +509,18 @@ func main() {
 		fatalf("%v", err)
 	}
 
+	// Routing fixture: the two-shard manifest's topology (default ring
+	// geometry), probed with item symbols — the key→shard step of every
+	// httpapi ownership check and cluster-client route.
+	topo, err := cluster.NewTopology(clusterMan)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	ringSymbols := make([]string, 256)
+	for i := range ringSymbols {
+		ringSymbols[i] = fmt.Sprintf("sym-%d", i)
+	}
+
 	gmp := runtime.GOMAXPROCS(0)
 	benches := []struct {
 		name    string
@@ -522,6 +568,13 @@ func main() {
 			// Algorithm 1 at the Mars Express anomaly basis size.
 			for i := 0; i < b.N; i++ {
 				_ = core.LevelSetR(512, *d, 0, basisSrc)
+			}
+		}},
+		{"decode_bound128", 1, func(b *testing.B) {
+			// The regressor's φℓ⁻¹ step: M ⊗ φ(x̂) fused with the scan
+			// of the label basis (ScalarEncoder.DecodeBound).
+			for i := 0; i < b.N; i++ {
+				_ = reg.Predict(decodeQueries[i%len(decodeQueries)], labels)
 			}
 		}},
 		{"nearest64", 1, func(b *testing.B) {
@@ -653,6 +706,11 @@ func main() {
 			}
 			if _, err := is.Close(); err != nil {
 				b.Fatal(err)
+			}
+		}},
+		{"ring_lookup", 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = topo.ShardForItem(ringSymbols[i%len(ringSymbols)])
 			}
 		}},
 		{"cluster_predict_scatter", 1, func(b *testing.B) {
@@ -826,9 +884,6 @@ func main() {
 	}
 }
 
-// fixedParPredict is a RunParallel-style snapshot-predict bench pinned to
-// an exact worker count, so the row's Workers field matches on machines of
-// any width and the row stays gateable in -compare.
 // swapHandler defers handler installation until after its httptest server
 // has a URL: the cluster fixture's manifest must name every endpoint
 // before the per-shard handlers (which need the manifest) can be built.
@@ -838,6 +893,9 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.h.Load().(http.Handler).ServeHTTP(w, r)
 }
 
+// fixedParPredict is a RunParallel-style snapshot-predict bench pinned to
+// an exact worker count, so the row's Workers field matches on machines of
+// any width and the row stays gateable in -compare.
 func fixedParPredict(srv *serve.Server, queries []*bitvec.Vector, workers int) func(*testing.B) {
 	return func(b *testing.B) {
 		var next atomic.Int64

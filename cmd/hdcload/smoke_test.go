@@ -18,6 +18,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"syscall"
 	"testing"
 	"time"
 
@@ -27,11 +28,19 @@ import (
 
 var listenRE = regexp.MustCompile(`listening on (\S+)`)
 
-// buildBin compiles one command under test.
+// buildBin compiles one command under test. With GOCOVERDIR set (CI's
+// coverage job) the binary is coverage-instrumented, and each child
+// writes its counters there when it exits. Under go test -cover,
+// GOCOVERDIR is go test's own directory, which keeps only the test
+// binary's counters, so the children are not instrumented then.
 func buildBin(t *testing.T, pkg string) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), filepath.Base(pkg)+"-under-test")
-	cmd := exec.Command("go", "build", "-o", bin, pkg)
+	args := []string{"build", "-o", bin}
+	if os.Getenv("GOCOVERDIR") != "" && testing.CoverMode() == "" {
+		args = append(args, "-cover", "-covermode=atomic", "-coverpkg=hdcirc/...")
+	}
+	cmd := exec.Command("go", append(args, pkg)...)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("building %s: %v\n%s", pkg, err, out)
 	}
@@ -56,10 +65,23 @@ func startScenarioChild(t *testing.T, bin, name string) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
+		// SIGTERM, so the child shuts down through main and writes its
+		// coverage counters; SIGKILL only if it outlives its 15 s
+		// shutdown grace plus a margin.
+		done := make(chan struct{})
+		go func() {
 			cmd.Wait()
+			close(done)
+		}()
+		if cmd.Process.Signal(syscall.SIGTERM) == nil {
+			select {
+			case <-done:
+				return
+			case <-time.After(20 * time.Second):
+			}
 		}
+		cmd.Process.Kill()
+		<-done
 	})
 	addrc := make(chan string, 1)
 	go func() {

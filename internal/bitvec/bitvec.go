@@ -35,7 +35,6 @@
 package bitvec
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -73,23 +72,6 @@ func NewFromBits(bitsIn []int) *Vector {
 		}
 	}
 	return v
-}
-
-// NewFromWords builds a vector of dimension d that adopts (does not copy)
-// the given backing words. It returns an error if the slice length does not
-// match the dimension or if tail bits beyond d are set.
-func NewFromWords(d int, words []uint64) (*Vector, error) {
-	if d <= 0 {
-		return nil, errors.New("bitvec: dimension must be positive")
-	}
-	if len(words) != wordsFor(d) {
-		return nil, fmt.Errorf("bitvec: got %d words, need %d for d=%d", len(words), wordsFor(d), d)
-	}
-	v := &Vector{d: d, words: words}
-	if tail := v.tailMask(); tail != ^uint64(0) && words[len(words)-1]&^tail != 0 {
-		return nil, errors.New("bitvec: tail bits beyond dimension are set")
-	}
-	return v, nil
 }
 
 // tailMask returns the mask of valid bits in the final word.
@@ -241,8 +223,8 @@ func (v *Vector) Similarity(o *Vector) float64 { return 1 - v.Distance(o) }
 // way; k is reduced modulo d. The rotation runs in O(d/64) for any
 // dimension: it is the OR of a d-bit left shift by k (the unwrapped bits)
 // and a d-bit right shift by d−k (the wrapped bits), each a straight word
-// loop. Sequence and n-gram encoders call this once per symbol, so it is a
-// genuine hot path.
+// loop. Sequence and n-gram encoders call it, as Rotate, once per symbol,
+// so it is a genuine hot path.
 func (v *Vector) RotateBits(k int) *Vector {
 	k %= v.d
 	if k < 0 {
@@ -258,6 +240,9 @@ func (v *Vector) RotateBits(k int) *Vector {
 	r.clearTail()
 	return r
 }
+
+// Rotate is RotateBits, Π^k(v), under the name the encoders use.
+func (v *Vector) Rotate(k int) *Vector { return v.RotateBits(k) }
 
 // shlOrInto ORs v<<s (a d-bit left shift, bits shifted beyond d dropped)
 // into dst. s must be in [1, d).
@@ -294,26 +279,6 @@ func (v *Vector) shrOrInto(dst *Vector, s int) {
 		dst.words[i] |= words[i+ws]>>bs | words[i+ws+1]<<inv
 	}
 	dst.words[n-ws-1] |= words[n-1] >> bs
-}
-
-// RotateWords returns a permutation that cyclically rotates whole 64-bit
-// words by k word positions. It is not the exact bit-rotation Π but is a
-// valid fixed permutation of coordinates when d is a multiple of 64, and is
-// roughly 64× faster; sequence encoders use it on hot paths. It panics when
-// d is not a multiple of 64.
-func (v *Vector) RotateWords(k int) *Vector {
-	if v.d%64 != 0 {
-		panic("bitvec: RotateWords requires d to be a multiple of 64")
-	}
-	n := len(v.words)
-	k %= n
-	if k < 0 {
-		k += n
-	}
-	r := New(v.d)
-	copy(r.words[k:], v.words[:n-k])
-	copy(r.words[:k], v.words[n-k:])
-	return r
 }
 
 // String renders the vector as a 0/1 string, least-significant bit first,

@@ -97,21 +97,6 @@ func TestNewFromBits(t *testing.T) {
 	}
 }
 
-func TestNewFromWords(t *testing.T) {
-	if _, err := NewFromWords(65, []uint64{0, 1}); err != nil {
-		t.Errorf("valid NewFromWords failed: %v", err)
-	}
-	if _, err := NewFromWords(65, []uint64{0}); err == nil {
-		t.Error("short word slice accepted")
-	}
-	if _, err := NewFromWords(65, []uint64{0, 4}); err == nil {
-		t.Error("tail bits beyond dimension accepted")
-	}
-	if _, err := NewFromWords(0, nil); err == nil {
-		t.Error("zero dimension accepted")
-	}
-}
-
 func TestTailInvariantMaintained(t *testing.T) {
 	src := newTestSource(1)
 	for _, d := range []int{1, 63, 65, 100, 129} {
@@ -256,41 +241,6 @@ func TestRotateBitsPreservesDistanceStructure(t *testing.T) {
 	// Rotation output should be dissimilar to the input for random vectors.
 	if sim := a.Similarity(a.RotateBits(1)); sim > 0.6 {
 		t.Errorf("rotated vector too similar to original: %v", sim)
-	}
-}
-
-func TestRotateWords(t *testing.T) {
-	src := newTestSource(10)
-	d := 256
-	v := Random(d, src)
-	r := v.RotateWords(1)
-	if r.OnesCount() != v.OnesCount() {
-		t.Error("RotateWords changed popcount")
-	}
-	if !v.RotateWords(1).RotateWords(3).Equal(v.RotateWords(4)) {
-		t.Error("RotateWords not additive")
-	}
-	if !v.RotateWords(4).Equal(v) { // 4 words total
-		t.Error("full word rotation != identity")
-	}
-	if !v.RotateWords(-1).Equal(v.RotateWords(3)) {
-		t.Error("negative word rotation mismatch")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("RotateWords on non-multiple-of-64 dim did not panic")
-			}
-		}()
-		Random(100, src).RotateWords(1)
-	}()
-}
-
-func TestRotateWordsMatchesRotateBits(t *testing.T) {
-	src := newTestSource(11)
-	v := Random(192, src)
-	if !v.RotateWords(1).Equal(v.RotateBits(64)) {
-		t.Error("RotateWords(1) != RotateBits(64) for d multiple of 64")
 	}
 }
 

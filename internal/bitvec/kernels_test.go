@@ -223,9 +223,6 @@ func TestDifferentialRotateBits(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("d=%d k=%d: word-parallel RotateBits diverges from reference", d, k)
 			}
-			if fast := v.Rotate(k); !fast.Equal(want) {
-				t.Fatalf("d=%d k=%d: Rotate dispatch diverges from reference", d, k)
-			}
 		}
 	}
 }
@@ -292,32 +289,5 @@ func TestXorDistanceMatchesMaterializedBinding(t *testing.T) {
 		if gotIdx != wantIdx || gotHD != wantHD {
 			t.Fatalf("d=%d: NearestXor = (%d,%d), want (%d,%d)", d, gotIdx, gotHD, wantIdx, wantHD)
 		}
-	}
-}
-
-func BenchmarkMajorityCSA9(b *testing.B) {
-	src := newTestSource(42)
-	vs := make([]*Vector, 9)
-	for i := range vs {
-		vs[i] = Random(10000, src)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Majority(vs, TieZero, nil)
-	}
-}
-
-func BenchmarkNearest64(b *testing.B) {
-	src := newTestSource(43)
-	q := Random(10000, src)
-	vs := make([]*Vector, 64)
-	for i := range vs {
-		vs[i] = Random(10000, src)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = Nearest(q, vs)
 	}
 }

@@ -5,28 +5,32 @@ import (
 	"testing/quick"
 )
 
-func TestRotateMatchesRotateBitsAllShifts(t *testing.T) {
-	src := newTestSource(71)
-	for _, d := range []int{64, 128, 192, 1024} {
+// checkRotateAllShifts compares Rotate with the per-bit reference rotation
+// at every shift in [-d-3, d+3] for each dimension.
+func checkRotateAllShifts(t *testing.T, seed int64, dims []int) {
+	t.Helper()
+	src := newTestSource(seed)
+	for _, d := range dims {
 		v := Random(d, src)
 		for k := -d - 3; k <= d+3; k++ {
-			if !v.Rotate(k).Equal(v.RotateBits(k)) {
-				t.Fatalf("d=%d k=%d: fast path diverges from bit loop", d, k)
+			if !v.Rotate(k).Equal(v.referenceRotateBits(((k % d) + d) % d)) {
+				t.Fatalf("d=%d k=%d: Rotate diverges from the per-bit reference", d, k)
 			}
 		}
 	}
 }
 
+// The d = 4096 and 9984 cases are the language and signals scenarios'
+// n-gram and sequence dimension and the largest multiple of 64 below the
+// paper's d = 10000.
+func TestRotateMatchesRotateBitsAllShifts(t *testing.T) {
+	checkRotateAllShifts(t, 71, []int{64, 640, 4096, 9984})
+}
+
+// Dimensions that are not a multiple of 64 end in a partial word, whose
+// tail bits the rotation must keep zero.
 func TestRotateFallbackNonMultiple(t *testing.T) {
-	src := newTestSource(72)
-	for _, d := range []int{1, 63, 65, 100, 1000} {
-		v := Random(d, src)
-		for _, k := range []int{0, 1, 17, d - 1, -4} {
-			if !v.Rotate(k).Equal(v.RotateBits(k)) {
-				t.Fatalf("d=%d k=%d: fallback diverges", d, k)
-			}
-		}
-	}
+	checkRotateAllShifts(t, 72, []int{1, 63, 65, 10000})
 }
 
 func TestRotateZeroIsClone(t *testing.T) {

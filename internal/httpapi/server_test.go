@@ -386,3 +386,19 @@ func TestPredictClampsHugeFeature(t *testing.T) {
 		t.Errorf("feature 1e18 → class %v distance %v; feature 1 → class %v distance %v", hugeClass, hugeDist, topClass, topDist)
 	}
 }
+
+// DecodeError returns a real envelope's error as sent, and turns any other
+// body (a proxy page, an envelope without a code) into internal.
+func TestDecodeError(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeError(rec, &Error{Code: CodeNotPrimary, Message: "follower", PrimaryURL: "http://p"})
+	if e := DecodeError(rec.Body, rec.Code); e.Code != CodeNotPrimary || e.PrimaryURL != "http://p" || e.Message != "follower" {
+		t.Fatalf("envelope decoded as %+v", e)
+	}
+	for _, body := range []string{"<html>bad gateway</html>", `{"error":{"message":"no code"}}`, ""} {
+		e := DecodeError(strings.NewReader(body), http.StatusBadGateway)
+		if e.Code != CodeInternal || !strings.Contains(e.Message, "HTTP 502") {
+			t.Fatalf("body %q decoded as %+v, want internal naming the status", body, e)
+		}
+	}
+}

@@ -50,7 +50,9 @@ package httpapi
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -181,6 +183,18 @@ func Errorf(code Code, format string, args ...any) *Error {
 // envelope is the non-2xx response body.
 type envelope struct {
 	Error *Error `json:"error"`
+}
+
+// DecodeError turns a non-2xx response body into its *Error. A body that
+// is not an envelope (a proxy in the way, a panic page) yields a
+// synthesized CodeInternal error quoting the body's start.
+func DecodeError(body io.Reader, status int) *Error {
+	raw, _ := io.ReadAll(io.LimitReader(body, 64<<10))
+	var env envelope
+	if json.Unmarshal(raw, &env) == nil && env.Error != nil && env.Error.Code != "" {
+		return env.Error
+	}
+	return Errorf(CodeInternal, "HTTP %d with non-envelope body: %.200s", status, raw)
 }
 
 // ---------------------------------------------------------------------------

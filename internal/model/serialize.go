@@ -29,11 +29,17 @@ const (
 // (the accumulators) is intentionally not persisted; a loaded model serves
 // inference only.
 func (c *Classifier) WriteTo(w io.Writer) (int64, error) {
-	class := c.Prototypes().Vectors()
+	return WritePrototypes(w, c.Prototypes().Vectors())
+}
+
+// WritePrototypes writes class vectors, in class order, as the HCLS stream
+// Classifier.WriteTo produces and ReadClassifier reads, without building a
+// classifier around them.
+func WritePrototypes(w io.Writer, class []*bitvec.Vector) (int64, error) {
 	header := make([]byte, 4+4+8)
 	copy(header, classifierMagic)
 	binary.LittleEndian.PutUint32(header[4:], modelVersion)
-	binary.LittleEndian.PutUint64(header[8:], uint64(c.k))
+	binary.LittleEndian.PutUint64(header[8:], uint64(len(class)))
 	var n int64
 	k, err := w.Write(header)
 	n += int64(k)

@@ -297,7 +297,7 @@ func (f *Follower) streamOnce() (progressed bool, err error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return false, f.handleWireError(decodeEnvelope(resp.Body, resp.StatusCode))
+		return false, f.handleWireError(httpapi.DecodeError(resp.Body, resp.StatusCode))
 	}
 
 	ack := func(seq uint64) {
@@ -390,7 +390,7 @@ func (f *Follower) probeRefusal() {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		_ = f.handleWireError(decodeEnvelope(resp.Body, resp.StatusCode))
+		_ = f.handleWireError(httpapi.DecodeError(resp.Body, resp.StatusCode))
 	}
 }
 
@@ -414,16 +414,4 @@ func (f *Follower) handleWireError(e *httpapi.Error) error {
 		f.reseed.Store(true)
 	}
 	return e
-}
-
-// decodeEnvelope parses a non-2xx response body into its structured
-// error, synthesizing one when the body is not an envelope.
-func decodeEnvelope(r io.Reader, status int) *httpapi.Error {
-	var env struct {
-		Error *httpapi.Error `json:"error"`
-	}
-	if err := json.NewDecoder(r).Decode(&env); err != nil || env.Error == nil {
-		return httpapi.Errorf(httpapi.CodeInternal, "primary answered HTTP %d without a protocol envelope", status)
-	}
-	return env.Error
 }

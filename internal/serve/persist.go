@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 
+	"hdcirc/internal/bitvec"
 	"hdcirc/internal/model"
 )
 
@@ -47,15 +48,13 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		return n, err
 	}
 
-	// Classifier section: assemble the global prototypes into a
-	// model.Classifier and reuse its wire format. Unit-weight seeding
-	// leaves no accumulator ties, so the streamed finalized vectors are
-	// exactly the snapshot prototypes.
-	clf := model.NewClassifier(s.classes, s.dim, 0)
-	for c := 0; c < s.classes; c++ {
-		clf.Add(c, s.ClassVector(c))
+	// Classifier section: the global prototypes in class order, in the
+	// wire format of model.Classifier.WriteTo.
+	protos := make([]*bitvec.Vector, s.classes)
+	for c := range protos {
+		protos[c] = s.ClassVector(c)
 	}
-	k64, err := clf.WriteTo(w)
+	k64, err := model.WritePrototypes(w, protos)
 	n += k64
 	if err != nil {
 		return n, err

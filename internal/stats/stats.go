@@ -1,14 +1,15 @@
 // Package stats provides the evaluation metrics used by the experiment
 // harness (accuracy, confusion matrices, squared-error measures, normalized
-// errors as defined in the paper's Section 6.3) plus the small directional-
-// statistics toolkit (circular mean, resultant length, circular variance,
-// the paper's circular distance ρ, and circular–linear correlation) that the
-// dataset synthesizers and their tests rely on.
+// errors as defined in the paper's Section 6.3, quantiles) plus the small
+// directional-statistics toolkit (circular mean, resultant length, circular
+// variance and circular–linear correlation) that the dataset synthesizers
+// and their tests rely on.
 package stats
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ---------------------------------------------------------------------------
@@ -64,9 +65,6 @@ func MAE(pred, truth []float64) float64 {
 	return s / float64(len(pred))
 }
 
-// RMSE returns the root mean squared error.
-func RMSE(pred, truth []float64) float64 { return math.Sqrt(MSE(pred, truth)) }
-
 // NormalizedAccuracyError implements the paper's Figure 8 metric
 // (1−α)/(1−ᾱ): the error rate of a model normalized by the error rate of
 // the reference model (random-hypervectors in the paper). A reference
@@ -99,19 +97,29 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
+// Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs by linear
+// interpolation on the sorted copy. Used by reporting code for robust
+// summaries.
+func Quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		panic("stats: quantile of empty slice")
 	}
-	return s / float64(len(xs))
+	if q < 0 || q > 1 {
+		panic(fmt.Sprintf("stats: quantile %v outside [0,1]", q))
+	}
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	if len(sorted) == 1 {
+		return sorted[0]
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	if lo == len(sorted)-1 {
+		return sorted[lo]
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // ---------------------------------------------------------------------------
 // Confusion matrix
@@ -185,25 +193,6 @@ func (c *Confusion) PerClassRecall() []float64 {
 // ---------------------------------------------------------------------------
 // Directional statistics
 // ---------------------------------------------------------------------------
-
-// CircularDistance implements the paper's ρ(α, β) = (1 − cos(α−β))/2, a
-// normalized distance in [0,1] between two angles; 0 for identical
-// directions, 1 for opposite directions.
-func CircularDistance(alpha, beta float64) float64 {
-	return (1 - math.Cos(alpha-beta)) / 2
-}
-
-// ArcDistance returns the normalized arc-length distance in [0, 1]:
-// min(|α−β| mod 2π, 2π − |α−β| mod 2π) / π. This is the profile the
-// two-phase circular construction actually realizes (per set, see
-// core.CircularExpectedDistance).
-func ArcDistance(alpha, beta float64) float64 {
-	d := math.Mod(math.Abs(alpha-beta), 2*math.Pi)
-	if d > math.Pi {
-		d = 2*math.Pi - d
-	}
-	return d / math.Pi
-}
 
 // CircularSummary holds the first trigonometric moment of an angle sample.
 type CircularSummary struct {

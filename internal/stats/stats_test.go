@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"testing"
+
+	"hdcirc/internal/rng"
 )
 
 func TestAccuracy(t *testing.T) {
@@ -39,9 +41,6 @@ func TestMSEAndFriends(t *testing.T) {
 	if got := MAE(pred, truth); math.Abs(got-5.0/3) > 1e-12 {
 		t.Errorf("MAE = %v, want %v", got, 5.0/3)
 	}
-	if got := RMSE(pred, truth); math.Abs(got-math.Sqrt(13.0/3)) > 1e-12 {
-		t.Errorf("RMSE = %v", got)
-	}
 	if MSE([]float64{2}, []float64{2}) != 0 {
 		t.Error("MSE of identical vectors != 0")
 	}
@@ -73,19 +72,6 @@ func TestNormalizedMetrics(t *testing.T) {
 		}()
 		NormalizedMSE(1, 0)
 	}()
-}
-
-func TestMeanVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
-		t.Errorf("Mean = %v, want 5", m)
-	}
-	if v := Variance(xs); v != 4 {
-		t.Errorf("Variance = %v, want 4", v)
-	}
-	if s := StdDev(xs); s != 2 {
-		t.Errorf("StdDev = %v, want 2", s)
-	}
 }
 
 func TestConfusion(t *testing.T) {
@@ -134,40 +120,6 @@ func TestConfusionEdgeCases(t *testing.T) {
 		}()
 		NewConfusion(0)
 	}()
-}
-
-func TestCircularDistance(t *testing.T) {
-	cases := []struct{ a, b, want float64 }{
-		{0, 0, 0},
-		{0, math.Pi, 1},
-		{0, math.Pi / 2, 0.5},
-		{0.3, 0.3 + 2*math.Pi, 0},
-		{math.Pi / 4, -math.Pi / 4, (1 - math.Cos(math.Pi/2)) / 2},
-	}
-	for _, c := range cases {
-		if got := CircularDistance(c.a, c.b); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("ρ(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-	// Symmetry.
-	if CircularDistance(1, 2) != CircularDistance(2, 1) {
-		t.Error("ρ not symmetric")
-	}
-}
-
-func TestArcDistance(t *testing.T) {
-	cases := []struct{ a, b, want float64 }{
-		{0, 0, 0},
-		{0, math.Pi, 1},
-		{0, math.Pi / 2, 0.5},
-		{0, 3 * math.Pi / 2, 0.5}, // wraps the short way
-		{0.1, 0.1 + 2*math.Pi, 0},
-	}
-	for _, c := range cases {
-		if got := ArcDistance(c.a, c.b); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("arc(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
 }
 
 func TestCircularSummary(t *testing.T) {
@@ -276,4 +228,56 @@ func TestCircularPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	Circular(nil)
+}
+
+func TestQuantileBasics(t *testing.T) {
+	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
+	if got := Quantile(xs, 0); got != 1 {
+		t.Errorf("q0 = %v", got)
+	}
+	if got := Quantile(xs, 1); got != 9 {
+		t.Errorf("q1 = %v", got)
+	}
+	med := Quantile(xs, 0.5)
+	if med < 3 || med > 4 {
+		t.Errorf("median = %v, want in [3,4]", med)
+	}
+	if got := Quantile([]float64{7}, 0.3); got != 7 {
+		t.Errorf("single-element quantile = %v", got)
+	}
+	// Input must not be mutated.
+	if xs[0] != 3 {
+		t.Error("Quantile mutated its input")
+	}
+}
+
+func TestQuantilePanics(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("empty did not panic")
+			}
+		}()
+		Quantile(nil, 0.5)
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("q>1 did not panic")
+			}
+		}()
+		Quantile([]float64{1}, 1.5)
+	}()
+}
+
+func TestQuicksortLargeSlice(t *testing.T) {
+	r := rng.New(6)
+	xs := make([]float64, 500)
+	for i := range xs {
+		xs[i] = r.Float64()
+	}
+	q := Quantile(xs, 0.5)
+	if q < 0.4 || q > 0.6 {
+		t.Errorf("median of uniforms = %v, want ≈ 0.5", q)
+	}
 }
