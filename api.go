@@ -32,16 +32,6 @@ type Vector = bitvec.Vector
 // Accumulator is the integer-counter form of bundling used for training.
 type Accumulator = bitvec.Accumulator
 
-// TieBreak selects how bundling majorities resolve ties.
-type TieBreak = bitvec.TieBreak
-
-// Tie-break strategies for Majority and Accumulator.Threshold.
-const (
-	TieZero   = bitvec.TieZero
-	TieOne    = bitvec.TieOne
-	TieRandom = bitvec.TieRandom
-)
-
 // NewVector returns the all-zeros hypervector of dimension d.
 func NewVector(d int) *Vector { return bitvec.New(d) }
 
@@ -51,9 +41,16 @@ func NewAccumulator(d int) *Accumulator { return bitvec.NewAccumulator(d) }
 // RandomVector draws a uniform hypervector from the stream.
 func RandomVector(d int, stream *Stream) *Vector { return bitvec.Random(d, stream) }
 
-// Majority bundles the operands element-wise; see bitvec.Majority.
-func Majority(vs []*Vector, tie TieBreak, stream *Stream) *Vector {
-	return bitvec.Majority(vs, tie, stream)
+// Majority bundles the operands element-wise; see bitvec.Majority. Each
+// tied position, possible only for an even operand count, takes one coin
+// from stream, which may be nil only for an odd operand count.
+func Majority(vs []*Vector, stream *Stream) *Vector {
+	if stream == nil {
+		// A nil *Stream in the Source interface would pass bitvec's nil
+		// check and fail at the first coin instead.
+		return bitvec.Majority(vs, nil)
+	}
+	return bitvec.Majority(vs, stream)
 }
 
 // Nearest returns the index in vs of the vector nearest to q (ties resolve

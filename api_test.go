@@ -19,15 +19,30 @@ func TestFacadeVectorOps(t *testing.T) {
 	if v := NewVector(64); v.OnesCount() != 0 {
 		t.Error("NewVector not zeroed")
 	}
-	m := Majority([]*Vector{a, b, RandomVector(2048, s)}, TieZero, nil)
+	m := Majority([]*Vector{a, b, RandomVector(2048, s)}, nil)
 	if sim := m.Similarity(a); sim < 0.6 {
 		t.Errorf("bundle similarity %v too low", sim)
 	}
 	acc := NewAccumulator(2048)
 	acc.Add(a)
-	if !acc.Threshold(TieZero, nil).Equal(a) {
+	if !acc.Threshold(nil).Equal(a) {
 		t.Error("accumulator through facade failed")
 	}
+}
+
+// TestFacadeMajorityNilStream checks that a nil *Stream reaches bitvec as a
+// nil Source: two operands can tie, so Majority panics with bitvec's
+// message, not with a nil dereference at the first coin.
+func TestFacadeMajorityNilStream(t *testing.T) {
+	s := NewStream(2)
+	a, b := RandomVector(256, s), RandomVector(256, s)
+	defer func() {
+		const want = "bitvec: an even operand count needs a random source for its ties"
+		if got := recover(); got != want {
+			t.Errorf("Majority of two vectors with a nil stream panicked with %v, want %q", got, want)
+		}
+	}()
+	Majority([]*Vector{a, b}, nil)
 }
 
 func TestFacadeStreams(t *testing.T) {

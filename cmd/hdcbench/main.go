@@ -172,6 +172,22 @@ func main() {
 	}
 	basisSrc := rng.New(10)
 
+	// Threshold fixture: the 15 class accumulators of Table 1's Suturing
+	// model, each training sample encoded as the record above and added to
+	// its gesture's accumulator, as internal/experiments trains it. Forty
+	// correlated samples a class leave about one position in 200 tied
+	// (722 of 150,000 at d = 10000), each drawing a coin: the rethreshold
+	// Classifier.Finalize runs for every class.
+	gestures := dataset.GenGestures(dataset.DefaultGestureConfig("Suturing"), 42)
+	classAccs := make([]*bitvec.Accumulator, gestures.Config.NumGestures)
+	for i := range classAccs {
+		classAccs[i] = bitvec.NewAccumulator(*d)
+	}
+	for _, s := range gestures.Train {
+		classAccs[s.Label].Add(record.EncodeRecord(s.Features, recFields))
+	}
+	tieSrc := rng.Sub(1, "bench/threshold")
+
 	// Label-decode fixture: Table 2's Beijing cell with the circular basis,
 	// trained the way internal/experiments trains it (day and hour on
 	// circular sets at r = 0.01, the year on 8 levels, each sample Y ⊗ D ⊗ H
@@ -544,7 +560,7 @@ func main() {
 		}},
 		{"threshold", 1, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = acc.Threshold(bitvec.TieZero, nil)
+				_ = classAccs[i%len(classAccs)].Threshold(tieSrc)
 			}
 		}},
 		{"rotate", 1, func(b *testing.B) {
@@ -554,7 +570,7 @@ func main() {
 		}},
 		{"majority9_csa", 1, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = bitvec.Majority(nine, bitvec.TieZero, nil)
+				_ = bitvec.Majority(nine, nil)
 			}
 		}},
 		{"encode_record", 1, func(b *testing.B) {

@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hdcirc/internal/experiments"
@@ -37,14 +38,15 @@ func main() {
 	fast := flag.Bool("fast", false, "reduced workload sizes for a quick pass")
 	flag.Parse()
 
-	if err := run(*exp, *seed, *dim, *fast); err != nil {
+	if err := run(os.Stdout, *exp, *seed, *dim, *fast); err != nil {
 		fmt.Fprintln(os.Stderr, "hdcrepro:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, seed uint64, dim int, fast bool) error {
-	w := os.Stdout
+// run writes the report of experiment exp to w. It returns an error for an
+// unknown experiment name or a failed Markov sweep.
+func run(w io.Writer, exp string, seed uint64, dim int, fast bool) error {
 	fmt.Fprintf(w, "hdcrepro: seed=%d d=%d fast=%v\n\n", seed, dim, fast)
 
 	table1Cfg := func() experiments.Table1Config {

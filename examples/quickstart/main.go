@@ -26,8 +26,7 @@ func main() {
 	fmt.Printf("unbind:   a ⊗ (a⊗b) == b? %v (binding is its own inverse)\n",
 		a.Xor(bound).Equal(b))
 
-	bundle := hdcirc.Majority([]*hdcirc.Vector{a, b, hdcirc.RandomVector(d, stream)},
-		hdcirc.TieZero, nil)
+	bundle := hdcirc.Majority([]*hdcirc.Vector{a, b, hdcirc.RandomVector(d, stream)}, nil)
 	fmt.Printf("bundling: sim(maj(a,b,c), a) = %.3f (similar to each operand)\n\n",
 		bundle.Similarity(a))
 

@@ -11,14 +11,19 @@
 //   - Bundling accumulation (Accumulator.Add/Sub/AddWeighted) extracts 64
 //     bits per load and updates the bipolar counters branch-free — random
 //     hypervector bits make branches mispredict half the time.
-//   - Thresholding (Threshold, ThresholdTieVector) packs output words in
-//     registers with sign arithmetic, with a dedicated kernel per tie mode.
+//   - Thresholding (Threshold, ThresholdTieVector) packs output words and
+//     their tie masks in registers with sign arithmetic, in one kernel
+//     (thresholdWord).
 //   - Majority and MajorityTieVector run one bit-sliced carry-save-adder
 //     kernel (majorityCSA) for any operand count: it counts all 64
 //     positions of a word at once into bits.Len(k) bit-planes and never
-//     materializes integer counters. Ties follow a TieBreak mode or a fixed
-//     tie vector, and per-operand keys can be XORed in the word loop — the
-//     record encoder's fused ⊕ᵢ Kᵢ ⊗ Vᵢ.
+//     materializes integer counters. Per-operand keys can be XORed in the
+//     word loop — the record encoder's fused ⊕ᵢ Kᵢ ⊗ Vᵢ.
+//   - Ties have two policies. Majority and Threshold give each tied
+//     position one fair coin from a Source, in dimension order, through
+//     one resolver (tieCoins), so the two agree bit for bit for equal
+//     sources. MajorityTieVector and ThresholdTieVector copy the bit of a
+//     fixed tie vector, which keeps the bundle deterministic.
 //   - Rotation (RotateBits, Rotate) is two d-bit word shifts, O(d/64) for
 //     any dimension including non-multiples of 64.
 //   - Nearest-neighbor search (Nearest, NearestXor, DistanceMany and

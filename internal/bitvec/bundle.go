@@ -24,52 +24,30 @@ func Random(d int, src Source) *Vector {
 	return v
 }
 
-// TieBreak selects what Majority does with dimensions where exactly half of
-// an even number of operands are set.
-type TieBreak int
-
-const (
-	// TieZero resolves ties to 0.
-	TieZero TieBreak = iota
-	// TieOne resolves ties to 1.
-	TieOne
-	// TieRandom resolves each tied dimension with an independent fair coin
-	// from the source passed to the bundling call.
-	TieRandom
-)
-
-func (t TieBreak) String() string {
-	switch t {
-	case TieZero:
-		return "TieZero"
-	case TieOne:
-		return "TieOne"
-	case TieRandom:
-		return "TieRandom"
-	default:
-		return fmt.Sprintf("TieBreak(%d)", int(t))
-	}
-}
-
 // Majority bundles the operands with the element-wise majority rule and
 // returns the result: output bit i is 1 when more than half of the operands
-// have bit i set. Ties (possible only for an even operand count) are
-// resolved per tie; src may be nil unless tie == TieRandom. It panics on an
-// empty operand list or mismatched dimensions.
+// have bit i set. A tie, possible only for an even operand count, takes one
+// fair coin bit from src, tied positions in dimension order. src may be nil
+// only for an odd operand count. It panics on an empty operand list or
+// mismatched dimensions.
 //
 // Any operand count runs on the bit-sliced carry-save-adder kernel
 // (majorityCSA), which counts all 64 positions of a word simultaneously and
 // never materializes integer counters. It is bit-identical to bundling
 // through an Accumulator and Threshold, tie coins included.
-func Majority(vs []*Vector, tie TieBreak, src Source) *Vector {
+func Majority(vs []*Vector, src Source) *Vector {
 	checkOperands(vs, nil)
-	if tie == TieRandom && src == nil {
-		panic("bitvec: TieRandom requires a random source")
+	if src == nil && len(vs)%2 == 0 {
+		panic(errNoTieSource)
 	}
 	out := New(vs[0].d)
-	majorityCSA(out, vs, nil, tie, src, nil)
+	majorityCSA(out, vs, nil, src, nil)
 	return out
 }
+
+// errNoTieSource is the panic of a coin-resolving bundle handed no source
+// for an operand count that can tie.
+const errNoTieSource = "bitvec: an even operand count needs a random source for its ties"
 
 // MajorityTieVector bundles the bound operands keys[i] ⊗ vs[i] (vs[i]
 // itself when keys is nil) with the element-wise majority rule, resolving
@@ -84,7 +62,7 @@ func MajorityTieVector(vs, keys []*Vector, tv *Vector) *Vector {
 	checkOperands(vs, keys)
 	vs[0].mustMatch(tv)
 	out := New(vs[0].d)
-	majorityCSA(out, vs, keys, TieZero, nil, tv)
+	majorityCSA(out, vs, keys, nil, tv)
 	return out
 }
 
@@ -115,9 +93,9 @@ func checkOperands(vs, keys []*Vector) {
 // per-bit work and no counters in memory. Operands enter two at a time
 // through a full adder on plane 0, the Harley–Seal step, so only one carry
 // per pair ripples up the planes. Tied positions take tv's bit when tv is
-// non-nil and are resolved per tie otherwise. The caller validates the
-// operands.
-func majorityCSA(out *Vector, vs, keys []*Vector, tie TieBreak, src Source, tv *Vector) {
+// non-nil and a coin from src otherwise. The caller validates the operands
+// and the source.
+func majorityCSA(out *Vector, vs, keys []*Vector, src Source, tv *Vector) {
 	k := len(vs)
 	thr := k / 2 // majority is count > thr; count == thr ties (even k only)
 	nPlanes := bits.Len(uint(k))
@@ -127,8 +105,7 @@ func majorityCSA(out *Vector, vs, keys []*Vector, tie TieBreak, src Source, tv *
 		}
 		return vs[i].words[wi] ^ keys[i].words[wi]
 	}
-	var coin uint64
-	coinLeft := 0
+	coins := tieCoins{src: src}
 	var planes [64]uint64
 	for wi := range out.words {
 		clear(planes[:nPlanes])
@@ -159,28 +136,11 @@ func majorityCSA(out *Vector, vs, keys []*Vector, tie TieBreak, src Source, tv *
 		// is 0, that is for k = 1, which is odd and has no ties. So the
 		// tail of the last word stays clear.
 		word := gt
-		if k&1 == 0 {
-			ties := eq
-			switch {
-			case tv != nil:
-				word |= ties & tv.words[wi]
-			case tie == TieOne:
-				word |= ties
-			case tie == TieRandom:
-				// One coin bit per tied position in dimension order — the
-				// same consumption pattern as Accumulator.Threshold, so the
-				// two are bit-identical for equal sources.
-				for t := ties; t != 0; t &= t - 1 {
-					if coinLeft == 0 {
-						coin = src.Uint64()
-						coinLeft = 64
-					}
-					if coin&1 == 1 {
-						word |= t & -t
-					}
-					coin >>= 1
-					coinLeft--
-				}
+		if k&1 == 0 { // eq now marks the tied positions
+			if tv != nil {
+				word |= eq & tv.words[wi]
+			} else {
+				word = coins.resolve(word, eq)
 			}
 		}
 		out.words[wi] = word
@@ -193,6 +153,34 @@ func ripple(planes *[64]uint64, carry uint64, p int) {
 	for ; carry != 0; p++ {
 		carry, planes[p&63] = planes[p&63]&carry, planes[p&63]^carry
 	}
+}
+
+// tieCoins resolves tied positions with fair coins: one bit of src per tied
+// position, in dimension order, with a fresh word drawn every 64 ties.
+// Majority and Threshold both resolve through it, so for equal sources they
+// draw the same coins and agree bit for bit.
+type tieCoins struct {
+	src  Source
+	coin uint64
+	left int // unused bits left in coin
+}
+
+// resolve returns word with each position set in ties given the next coin.
+// The coin state lives in locals for the loop, so it stays in registers.
+func (c *tieCoins) resolve(word, ties uint64) uint64 {
+	coin, left := c.coin, c.left
+	for ; ties != 0; ties &= ties - 1 {
+		if left == 0 {
+			coin, left = c.src.Uint64(), 64
+		}
+		if coin&1 == 1 {
+			word |= ties & -ties
+		}
+		coin >>= 1
+		left--
+	}
+	c.coin, c.left = coin, left
+	return word
 }
 
 // Accumulator is the integer counter form of bundling. HDC training bundles
@@ -235,7 +223,7 @@ func (a *Accumulator) Sub(v *Vector) { a.addWeighted(v, -1) }
 func (a *Accumulator) AddWeighted(v *Vector, w int) {
 	// MinInt32 itself is excluded: clear bits contribute −w, and negating
 	// MinInt32 wraps back to MinInt32 — the one counter value the
-	// branch-free sign kernels in thresholdWord/posWord cannot classify.
+	// branch-free sign kernel thresholdWord cannot classify.
 	if w > math.MaxInt32 || w <= math.MinInt32 {
 		panic(fmt.Sprintf("bitvec: weight %d overflows the int32 accumulator counters", w))
 	}
@@ -249,15 +237,9 @@ func (a *Accumulator) addWeighted(v *Vector, w int32) {
 	if v.Dim() != a.d {
 		panic(fmt.Sprintf("bitvec: dimension mismatch %d vs %d", v.Dim(), a.d))
 	}
-	counts := a.counts
 	w2 := w + w
 	for wi, word := range v.words {
-		base := wi << 6
-		n := a.d - base
-		if n > 64 {
-			n = 64
-		}
-		c := counts[base : base+n : base+n]
+		c := a.wordCounts(wi)
 		if len(c) == 64 {
 			// +w when the bit is set, −w when clear: bit·2w − w. Two
 			// independent half-word streams with constant 1-bit shifts.
@@ -299,8 +281,8 @@ func thresholdWord(c []int32) (word, ties uint64) {
 	// constant 1-bit shifts are cheaper than positioning each bit with a
 	// variable shift. uint32(cv−1)>>31 is 1 iff cv ≤ 0; uint32(cv|−cv)>>31
 	// is 1 iff cv ≠ 0. Full words run four independent 16-bit chains per
-	// output, like posWord — this kernel sits on the encoder hot path via
-	// ThresholdTieVector.
+	// output, so the result bits don't form one 64-step serial dependency —
+	// this kernel sits on the encoder hot path via ThresholdTieVector.
 	if len(c) == 64 {
 		var w0, w1, w2, w3, t0, t1, t2, t3 uint64
 		for i := 15; i >= 0; i-- {
@@ -324,6 +306,14 @@ func thresholdWord(c []int32) (word, ties uint64) {
 	return word, ties
 }
 
+// wordCounts returns the counts of output word wi: 64 of them, fewer in
+// the last word when d is not a multiple of 64.
+func (a *Accumulator) wordCounts(wi int) []int32 {
+	base := wi << 6
+	end := min(base+64, a.d)
+	return a.counts[base:end:end]
+}
+
 // ThresholdTieVector collapses the accumulator into a binary hypervector,
 // resolving tied dimensions (count exactly zero) to the corresponding bit
 // of tv. Using a fixed random tie vector makes thresholding deterministic
@@ -336,98 +326,27 @@ func (a *Accumulator) ThresholdTieVector(tv *Vector) *Vector {
 	}
 	v := New(a.d)
 	for wi := range v.words {
-		base := wi << 6
-		n := a.d - base
-		if n > 64 {
-			n = 64
-		}
-		word, ties := thresholdWord(a.counts[base : base+n : base+n])
+		word, ties := thresholdWord(a.wordCounts(wi))
 		v.words[wi] = word | ties&tv.words[wi]
 	}
 	return v
 }
 
-// posWord packs "count > 0" into a word: bit b is 1 iff c[b] > 0. Full
-// words run four independent 16-bit shift-in chains so the result bits
-// don't form one 64-step serial dependency.
-func posWord(c []int32) (word uint64) {
-	if len(c) == 64 {
-		var q0, q1, q2, q3 uint64
-		for i := 15; i >= 0; i-- {
-			q0 = q0<<1 | uint64(uint32(c[i]-1)>>31^1)
-			q1 = q1<<1 | uint64(uint32(c[i+16]-1)>>31^1)
-			q2 = q2<<1 | uint64(uint32(c[i+32]-1)>>31^1)
-			q3 = q3<<1 | uint64(uint32(c[i+48]-1)>>31^1)
-		}
-		return q3<<48 | q2<<32 | q1<<16 | q0
-	}
-	for i := len(c) - 1; i >= 0; i-- {
-		word = word<<1 | uint64(uint32(c[i]-1)>>31^1)
-	}
-	return word
-}
-
-// nonNegWord packs "count ≥ 0" into a word: bit b is 1 iff c[b] >= 0.
-func nonNegWord(c []int32) (word uint64) {
-	if len(c) == 64 {
-		var q0, q1, q2, q3 uint64
-		for i := 15; i >= 0; i-- {
-			q0 = q0<<1 | uint64(uint32(c[i])>>31^1)
-			q1 = q1<<1 | uint64(uint32(c[i+16])>>31^1)
-			q2 = q2<<1 | uint64(uint32(c[i+32])>>31^1)
-			q3 = q3<<1 | uint64(uint32(c[i+48])>>31^1)
-		}
-		return q3<<48 | q2<<32 | q1<<16 | q0
-	}
-	for i := len(c) - 1; i >= 0; i-- {
-		word = word<<1 | uint64(uint32(c[i])>>31^1)
-	}
-	return word
-}
-
 // Threshold collapses the accumulator into a binary hypervector: bit i is 1
-// when the bipolar count is positive, 0 when negative, and resolved by tie
-// when exactly zero. src may be nil unless tie == TieRandom.
-//
-// Each tie mode gets its own word kernel: TieZero is exactly "count > 0"
-// and TieOne exactly "count ≥ 0", so neither needs the tie mask that
-// TieRandom's coin drawing does.
-func (a *Accumulator) Threshold(tie TieBreak, src Source) *Vector {
-	if tie == TieRandom && src == nil {
-		panic("bitvec: TieRandom requires a random source")
+// when the bipolar count is positive and 0 when it is negative. A zero count
+// (a tie) takes one fair coin bit from src, tied positions in dimension
+// order — the coins Majority draws, so bundling through an Accumulator and
+// through Majority agree bit for bit for equal sources. Every count has the
+// parity of N(), so no count is zero when N() is odd; src may be nil only
+// then.
+func (a *Accumulator) Threshold(src Source) *Vector {
+	if src == nil && a.n%2 == 0 {
+		panic(errNoTieSource)
 	}
 	v := New(a.d)
-	var coin uint64
-	coinLeft := 0
+	coins := tieCoins{src: src}
 	for wi := range v.words {
-		base := wi << 6
-		n := a.d - base
-		if n > 64 {
-			n = 64
-		}
-		c := a.counts[base : base+n : base+n]
-		switch tie {
-		case TieOne:
-			v.words[wi] = nonNegWord(c)
-		case TieRandom:
-			word, ties := thresholdWord(c)
-			for t := ties; t != 0; t &= t - 1 {
-				if coinLeft == 0 {
-					coin = src.Uint64()
-					coinLeft = 64
-				}
-				if coin&1 == 1 {
-					word |= t & -t
-				}
-				coin >>= 1
-				coinLeft--
-			}
-			v.words[wi] = word
-		default:
-			// TieZero and unrecognized TieBreak values: ties stay 0, the
-			// same treatment the per-bit reference gives them.
-			v.words[wi] = posWord(c)
-		}
+		v.words[wi] = coins.resolve(thresholdWord(a.wordCounts(wi)))
 	}
 	return v
 }

@@ -9,7 +9,7 @@ func TestMajorityOdd(t *testing.T) {
 	a := NewFromBits([]int{1, 1, 0, 0, 1})
 	b := NewFromBits([]int{1, 0, 1, 0, 1})
 	c := NewFromBits([]int{0, 1, 1, 0, 0})
-	m := Majority([]*Vector{a, b, c}, TieZero, nil)
+	m := Majority([]*Vector{a, b, c}, nil)
 	want := []int{1, 1, 1, 0, 1}
 	for i, w := range want {
 		if m.Bit(i) != w {
@@ -18,19 +18,25 @@ func TestMajorityOdd(t *testing.T) {
 	}
 }
 
+// constSource hands out the same coin word on every draw.
+type constSource uint64
+
+func (c constSource) Uint64() uint64 { return uint64(c) }
+
 func TestMajorityTieBreaks(t *testing.T) {
-	a := NewFromBits([]int{1, 0})
-	b := NewFromBits([]int{0, 1})
-	if m := Majority([]*Vector{a, b}, TieZero, nil); m.OnesCount() != 0 {
-		t.Errorf("TieZero produced ones: %v", m)
+	// Complementary operands tie at every position, so each output bit is
+	// its coin: all-ones coins set every bit, all-zero coins none.
+	a := NewFromBits([]int{1, 0, 1})
+	b := a.Not()
+	if m := Majority([]*Vector{a, b}, constSource(0)); m.OnesCount() != 0 {
+		t.Errorf("zero coins produced ones: %v", m)
 	}
-	if m := Majority([]*Vector{a, b}, TieOne, nil); m.OnesCount() != 2 {
-		t.Errorf("TieOne produced zeros: %v", m)
+	if m := Majority([]*Vector{a, b}, constSource(^uint64(0))); m.OnesCount() != 3 {
+		t.Errorf("one coins produced zeros: %v", m)
 	}
-	src := newTestSource(42)
-	m := Majority([]*Vector{a, b}, TieRandom, src)
-	if m.Dim() != 2 {
-		t.Errorf("TieRandom wrong dim")
+	// Coins are consumed in dimension order, low bit first.
+	if m := Majority([]*Vector{a, b}, constSource(0b110)); !m.Equal(NewFromBits([]int{0, 1, 1})) {
+		t.Errorf("coins 0b110 resolved to %v", m)
 	}
 }
 
@@ -41,7 +47,7 @@ func TestMajorityTieRandomIsFair(t *testing.T) {
 	d := 10000
 	a := Random(d, src)
 	b := a.Not()
-	m := Majority([]*Vector{a, b}, TieRandom, src)
+	m := Majority([]*Vector{a, b}, src)
 	frac := float64(m.OnesCount()) / float64(d)
 	if frac < 0.46 || frac > 0.54 {
 		t.Errorf("tie coin fraction %v outside [0.46,0.54]", frac)
@@ -55,22 +61,30 @@ func TestMajorityPanics(t *testing.T) {
 				t.Error("empty Majority did not panic")
 			}
 		}()
-		Majority(nil, TieZero, nil)
+		Majority(nil, nil)
 	}()
 	func() {
 		defer func() {
-			if recover() == nil {
-				t.Error("TieRandom without source did not panic")
+			if recover() != errNoTieSource {
+				t.Error("even operand count without source did not panic")
 			}
 		}()
-		Majority([]*Vector{New(8), New(8)}, TieRandom, nil)
+		Majority([]*Vector{New(8), New(8)}, nil)
+	}()
+	func() {
+		defer func() {
+			if recover() != errNoTieSource {
+				t.Error("Threshold of an even count without source did not panic")
+			}
+		}()
+		NewAccumulator(8).Threshold(nil)
 	}()
 }
 
 func TestMajorityOfSingle(t *testing.T) {
 	src := newTestSource(44)
 	v := Random(100, src)
-	if !Majority([]*Vector{v}, TieZero, nil).Equal(v) {
+	if !Majority([]*Vector{v}, nil).Equal(v) {
 		t.Error("majority of one vector != that vector")
 	}
 }
@@ -82,7 +96,7 @@ func TestMajoritySimilarToOperands(t *testing.T) {
 	src := newTestSource(45)
 	d := 10000
 	vs := []*Vector{Random(d, src), Random(d, src), Random(d, src)}
-	m := Majority(vs, TieZero, nil)
+	m := Majority(vs, nil)
 	for i, v := range vs {
 		sim := m.Similarity(v)
 		if sim < 0.70 || sim > 0.80 {
@@ -100,8 +114,8 @@ func TestBindDistributesOverBundle(t *testing.T) {
 	src := newTestSource(46)
 	d := 512
 	a1, a2, a3, c := Random(d, src), Random(d, src), Random(d, src), Random(d, src)
-	left := c.Xor(Majority([]*Vector{a1, a2, a3}, TieZero, nil))
-	right := Majority([]*Vector{c.Xor(a1), c.Xor(a2), c.Xor(a3)}, TieZero, nil)
+	left := c.Xor(Majority([]*Vector{a1, a2, a3}, nil))
+	right := Majority([]*Vector{c.Xor(a1), c.Xor(a2), c.Xor(a3)}, nil)
 	if !left.Equal(right) {
 		t.Error("binding does not distribute over bundling")
 	}
@@ -118,7 +132,7 @@ func TestAccumulatorMatchesMajority(t *testing.T) {
 	for _, v := range vs {
 		acc.Add(v)
 	}
-	if !acc.Threshold(TieZero, nil).Equal(Majority(vs, TieZero, nil)) {
+	if !acc.Threshold(nil).Equal(Majority(vs, nil)) {
 		t.Error("accumulator threshold != Majority")
 	}
 	if acc.N() != len(vs) {
@@ -185,12 +199,12 @@ func TestAccumulatorThresholdTies(t *testing.T) {
 	a := NewFromBits([]int{1, 1, 0, 0})
 	acc.Add(a)
 	acc.Add(a.Not())
-	// All counts zero → all ties.
-	if v := acc.Threshold(TieOne, nil); v.OnesCount() != 4 {
-		t.Errorf("TieOne gave %v", v)
+	// All counts zero → all ties, each resolved by its coin.
+	if v := acc.Threshold(constSource(^uint64(0))); v.OnesCount() != 4 {
+		t.Errorf("one coins gave %v", v)
 	}
-	if v := acc.Threshold(TieZero, nil); v.OnesCount() != 0 {
-		t.Errorf("TieZero gave %v", v)
+	if v := acc.Threshold(constSource(0)); v.OnesCount() != 0 {
+		t.Errorf("zero coins gave %v", v)
 	}
 }
 
@@ -211,7 +225,7 @@ func TestQuickMajorityBetweenBounds(t *testing.T) {
 		a := Random(d, newTestSource(int64(seedA)))
 		b := Random(d, newTestSource(int64(seedB)))
 		c := Random(d, newTestSource(int64(seedC)))
-		m := Majority([]*Vector{a, b, c}, TieZero, nil)
+		m := Majority([]*Vector{a, b, c}, nil)
 		for i := 0; i < d; i++ {
 			if a.Bit(i) == b.Bit(i) && b.Bit(i) == c.Bit(i) && m.Bit(i) != a.Bit(i) {
 				return false
@@ -238,7 +252,7 @@ func TestQuickAccumulatorOrderIndependent(t *testing.T) {
 		y.Add(c)
 		y.Add(a)
 		y.Add(b)
-		return x.Threshold(TieZero, nil).Equal(y.Threshold(TieZero, nil))
+		return x.Threshold(nil).Equal(y.Threshold(nil))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -251,7 +265,7 @@ func TestThresholdTieVector(t *testing.T) {
 	acc.Add(a)
 	acc.Add(a.Not()) // all counts zero → every dimension ties
 	tv := NewFromBits([]int{1, 0, 1, 0})
-	got := acc.Threshold(TieZero, nil) // baseline: all zero
+	got := acc.Threshold(constSource(0)) // baseline: all zero
 	if got.OnesCount() != 0 {
 		t.Fatal("baseline wrong")
 	}

@@ -85,11 +85,11 @@ func FuzzNearestPruned(f *testing.F) {
 	})
 }
 
-// FuzzMajority drives the bundling kernel with 1–130 operands in every tie
-// mode (mode%4: TieZero, TieOne, TieRandom, tie vector), with and without
-// per-operand keys. Every third operand is the complement of the one
-// before it, so even operand counts tie often. The reference binds the
-// keys explicitly, counts per bit and thresholds per bit.
+// FuzzMajority drives the bundling kernel with 1–130 operands under both
+// tie policies (mode%2: 0 coins from a seeded source, 1 a tie vector), with
+// and without per-operand keys. Every third operand is the complement of
+// the one before it, so even operand counts tie often. The reference binds
+// the keys explicitly, counts per bit and thresholds per bit.
 func FuzzMajority(f *testing.F) {
 	for _, d := range []uint16{1, 63, 64, 65, 127, 129} {
 		for _, k := range []uint8{1, 2, 64, 65} {
@@ -122,28 +122,27 @@ func FuzzMajority(f *testing.F) {
 			}
 		}
 		got := New(d)
+		acc := NewAccumulator(d)
+		for _, b := range bound {
+			acc.referenceAddWeighted(b, 1)
+		}
 		var want *Vector
-		switch tie := TieBreak(mode % 4); tie {
-		case TieZero, TieOne, TieRandom:
-			majorityCSA(got, vs, keys, tie, newTestSource(int64(seed)), nil)
-			want = referenceMajority(bound, tie, newTestSource(int64(seed)))
-			if !keyed && !Majority(vs, tie, newTestSource(int64(seed))).Equal(want) {
-				t.Fatalf("d=%d k=%d tie=%v: Majority diverges from the reference", d, k, tie)
+		if mode%2 == 0 {
+			majorityCSA(got, vs, keys, newTestSource(int64(seed)), nil)
+			want = acc.referenceThreshold(newTestSource(int64(seed)))
+			if !keyed && !Majority(vs, newTestSource(int64(seed))).Equal(want) {
+				t.Fatalf("d=%d k=%d: Majority diverges from the reference", d, k)
 			}
-		default: // tie-vector mode
+		} else {
 			tv := vecFromBytes(d, pool, 2*k+1)
-			majorityCSA(got, vs, keys, TieZero, nil, tv)
-			acc := NewAccumulator(d)
-			for _, b := range bound {
-				acc.referenceAddWeighted(b, 1)
-			}
+			majorityCSA(got, vs, keys, nil, tv)
 			want = acc.referenceThresholdTieVector(tv)
 			if !MajorityTieVector(vs, keys, tv).Equal(want) {
 				t.Fatalf("d=%d k=%d keyed=%v: MajorityTieVector diverges from the reference", d, k, keyed)
 			}
 		}
 		if !got.Equal(want) {
-			t.Fatalf("d=%d k=%d mode=%d keyed=%v: kernel diverges from the reference", d, k, mode%4, keyed)
+			t.Fatalf("d=%d k=%d mode=%d keyed=%v: kernel diverges from the reference", d, k, mode%2, keyed)
 		}
 	})
 }

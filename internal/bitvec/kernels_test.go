@@ -3,7 +3,8 @@ package bitvec
 // Differential tests pinning the word-parallel kernels against the per-bit
 // reference implementations in reference.go, across dimensions that are
 // deliberately not multiples of 64 (plus the aligned cases), arbitrary
-// weights, every tie mode, and identical random sources on both sides.
+// weights, both tie policies (coins and a tie vector), and identical random
+// sources on both sides.
 
 import (
 	"math"
@@ -13,7 +14,7 @@ import (
 
 // kernelDims stresses word boundaries: single-word, exact multiples, one
 // over/under, and large odd dimensions like the paper's d = 10000.
-var kernelDims = []int{1, 2, 63, 64, 65, 100, 127, 128, 129, 191, 192, 193, 777, 1000, 4096, 10000, 10007}
+var kernelDims = []int{1, 2, 63, 64, 65, 100, 127, 128, 129, 191, 192, 193, 640, 777, 1000, 4096, 10000, 10007}
 
 func randomCounts(d int, r *rand.Rand) *Accumulator {
 	a := NewAccumulator(d)
@@ -70,50 +71,17 @@ func TestAddWeightedRejectsOverflowingWeight(t *testing.T) {
 	NewAccumulator(8).AddWeighted(New(8), math.MinInt32+1)
 }
 
-func TestThresholdUnknownTieBreakActsLikeTieZero(t *testing.T) {
-	acc := NewAccumulator(130)
-	v := Random(130, newTestSource(21))
-	acc.Add(v)
-	acc.Add(v.Not()) // every count zero → every dimension tied
-	got := acc.Threshold(TieBreak(99), nil)
-	if got.OnesCount() != 0 {
-		t.Errorf("unknown TieBreak resolved ties to 1s: %d set bits", got.OnesCount())
-	}
-	// Majority must agree with the reference for unknown tie values too, at
-	// a small operand count and at one that needs a seventh bit-plane.
-	for _, k := range []int{2, 66} {
-		vs := make([]*Vector, k)
-		for i := range vs {
-			if i%2 == 0 {
-				vs[i] = v
-			} else {
-				vs[i] = v.Not()
-			}
-		}
-		if !Majority(vs, TieBreak(99), nil).Equal(referenceMajority(vs, TieZero, nil)) {
-			t.Errorf("k=%d: Majority diverges from reference for unknown TieBreak", k)
-		}
-	}
-}
-
 func TestDifferentialThreshold(t *testing.T) {
 	r := rand.New(rand.NewSource(202))
 	for _, d := range kernelDims {
-		for _, tie := range []TieBreak{TieZero, TieOne, TieRandom} {
-			acc := randomCounts(d, r)
-			ref := NewAccumulator(d)
-			copy(ref.counts, acc.counts)
-			// Identical sources on both sides so TieRandom draws the same
-			// coins; nil elsewhere to prove they are not consulted.
-			var srcA, srcB Source
-			if tie == TieRandom {
-				srcA, srcB = newTestSource(7), newTestSource(7)
-			}
-			got := acc.Threshold(tie, srcA)
-			want := ref.referenceThreshold(tie, srcB)
-			if !got.Equal(want) {
-				t.Fatalf("d=%d tie=%v: word-parallel Threshold diverges from reference", d, tie)
-			}
+		acc := randomCounts(d, r)
+		ref := NewAccumulator(d)
+		copy(ref.counts, acc.counts)
+		// Identical sources on both sides, so both draw the same coins.
+		got := acc.Threshold(newTestSource(7))
+		want := ref.referenceThreshold(newTestSource(7))
+		if !got.Equal(want) {
+			t.Fatalf("d=%d: word-parallel Threshold diverges from reference", d)
 		}
 	}
 }
@@ -133,8 +101,7 @@ func TestDifferentialThresholdTieVector(t *testing.T) {
 
 func TestDifferentialMajorityCSA(t *testing.T) {
 	// Every operand count from 1 to 130 at word-boundary dimensions and
-	// d = 10000, in every tie mode and the tie-vector mode, with and
-	// without keys. Every third operand complements the one before it, so
+	// d = 10000, with coins and with a tie vector, with and without keys. Every third operand complements the one before it, so
 	// even counts tie often. The reference counts grow one operand at a
 	// time, so each count k is checked against the first k operands.
 	r := rand.New(rand.NewSource(404))
@@ -161,16 +128,14 @@ func TestDifferentialMajorityCSA(t *testing.T) {
 				} else {
 					ref.referenceAddWeighted(pool[k-1], 1)
 				}
-				for _, tie := range []TieBreak{TieZero, TieOne, TieRandom} {
-					got := New(d)
-					if keyed {
-						majorityCSA(got, vs, ks, tie, newTestSource(11), nil)
-					} else {
-						got = Majority(vs, tie, newTestSource(11))
-					}
-					if !got.Equal(ref.referenceThreshold(tie, newTestSource(11))) {
-						t.Fatalf("d=%d k=%d tie=%v keyed=%v: kernel diverges from reference", d, k, tie, keyed)
-					}
+				got := New(d)
+				if keyed {
+					majorityCSA(got, vs, ks, newTestSource(11), nil)
+				} else {
+					got = Majority(vs, newTestSource(11))
+				}
+				if !got.Equal(ref.referenceThreshold(newTestSource(11))) {
+					t.Fatalf("d=%d k=%d keyed=%v: kernel diverges from reference", d, k, keyed)
 				}
 				if !MajorityTieVector(vs, ks, tv).Equal(ref.referenceThresholdTieVector(tv)) {
 					t.Fatalf("d=%d k=%d keyed=%v: MajorityTieVector diverges from reference", d, k, keyed)
@@ -194,16 +159,10 @@ func TestDifferentialMajorityCSABoundaryOperandCounts(t *testing.T) {
 		for len(vs) < k {
 			vs = append(vs, Random(d, newTestSource(r.Int63())))
 		}
-		for _, tie := range []TieBreak{TieZero, TieOne, TieRandom} {
-			var srcA, srcB Source
-			if tie == TieRandom {
-				srcA, srcB = newTestSource(13), newTestSource(13)
-			}
-			got := Majority(vs, tie, srcA)
-			want := referenceMajority(vs, tie, srcB)
-			if !got.Equal(want) {
-				t.Fatalf("k=%d tie=%v: Majority diverges from reference at CSA boundary", k, tie)
-			}
+		got := Majority(vs, newTestSource(13))
+		want := referenceMajority(vs, newTestSource(13))
+		if !got.Equal(want) {
+			t.Fatalf("k=%d: Majority diverges from reference at CSA boundary", k)
 		}
 	}
 }

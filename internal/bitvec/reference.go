@@ -2,7 +2,7 @@ package bitvec
 
 // Per-bit reference implementations of the bundling and permutation
 // kernels. These are the original (obviously correct) loops the
-// word-parallel kernels in bundle.go, rotate.go and nearest.go are
+// word-parallel kernels in bundle.go, bitvec.go and nearest.go are
 // differential-tested against; they are not used on any hot path. Keep
 // them byte-for-byte boring: their only job is to be easy to audit.
 
@@ -23,12 +23,9 @@ func (a *Accumulator) referenceAddWeighted(v *Vector, w int32) {
 }
 
 // referenceThreshold is the per-bit thresholding loop, consuming one coin
-// bit per tied dimension in dimension order under TieRandom (the coin
-// word is refilled every 64 consumed bits).
-func (a *Accumulator) referenceThreshold(tie TieBreak, src Source) *Vector {
-	if tie == TieRandom && src == nil {
-		panic("bitvec: TieRandom requires a random source")
-	}
+// bit per tied dimension in dimension order (the coin word is refilled
+// every 64 consumed bits).
+func (a *Accumulator) referenceThreshold(src Source) *Vector {
 	v := New(a.d)
 	var coin uint64
 	coinLeft := 0
@@ -36,23 +33,16 @@ func (a *Accumulator) referenceThreshold(tie TieBreak, src Source) *Vector {
 		switch {
 		case c > 0:
 			v.setBit(i)
-		case c < 0:
-			// leave 0
-		default:
-			switch tie {
-			case TieOne:
-				v.setBit(i)
-			case TieRandom:
-				if coinLeft == 0 {
-					coin = src.Uint64()
-					coinLeft = 64
-				}
-				if coin&1 == 1 {
-					v.setBit(i)
-				}
-				coin >>= 1
-				coinLeft--
+		case c == 0:
+			if coinLeft == 0 {
+				coin = src.Uint64()
+				coinLeft = 64
 			}
+			if coin&1 == 1 {
+				v.setBit(i)
+			}
+			coin >>= 1
+			coinLeft--
 		}
 	}
 	return v
@@ -79,7 +69,7 @@ func (a *Accumulator) referenceThresholdTieVector(tv *Vector) *Vector {
 
 // referenceMajority bundles through an integer accumulator — the original
 // Majority implementation and the spec for the carry-save-adder fast path.
-func referenceMajority(vs []*Vector, tie TieBreak, src Source) *Vector {
+func referenceMajority(vs []*Vector, src Source) *Vector {
 	if len(vs) == 0 {
 		panic("bitvec: Majority of zero vectors")
 	}
@@ -87,7 +77,7 @@ func referenceMajority(vs []*Vector, tie TieBreak, src Source) *Vector {
 	for _, v := range vs {
 		acc.referenceAddWeighted(v, 1)
 	}
-	return acc.referenceThreshold(tie, src)
+	return acc.referenceThreshold(src)
 }
 
 // referenceHammingDistance is the per-bit distance loop — the spec for

@@ -6,32 +6,15 @@ import (
 	"hdcirc/internal/hashring"
 )
 
-// Key construction. The cluster ring routes the same key strings the
-// in-process serving ring routes — "class/<id>" for classifier classes,
-// "item/<symbol>" for item-memory symbols — but over its own ring pinned
-// by the manifest, so the cross-process assignment is independent of any
-// one server's internal shard count.
-
-// ClassKey returns the routing key for a global class id.
-func ClassKey(class int) string { return fmt.Sprintf("class/%d", class) }
-
-// ItemKey returns the routing key for an item-memory symbol.
-func ItemKey(symbol string) string { return "item/" + symbol }
-
-// ShardMember returns the ring member name of shard i.
-func ShardMember(i int) string { return fmt.Sprintf("shard/%d", i) }
-
 // Topology is the deterministic key→shard routing function derived from a
-// manifest: a hypervector hashring with one member per shard, built from
-// the manifest's pinned geometry. Construction is the only mutation;
-// afterwards every method is a pure read, safe from any number of
-// goroutines (the hashring documents this contract and internal/serve
-// already relies on it).
+// manifest: a hashring.Shards built from the manifest's pinned geometry,
+// which routes the same "class/<id>" and "item/<symbol>" keys the
+// in-process serving ring routes (hashring.ClassKey, hashring.ItemKey).
+// Construction is the only mutation; afterwards every method is a pure
+// read, safe from any number of goroutines.
 type Topology struct {
-	man     *Manifest
-	ring    *hashring.Ring
-	members []string // ring member name per shard, indexed by shard
-	index   map[string]int
+	*hashring.Shards
+	man *Manifest
 }
 
 // NewTopology normalizes and validates the manifest, then builds the
@@ -47,50 +30,19 @@ func NewTopology(m *Manifest) (*Topology, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	ring, err := hashring.New(m.RingPositions, m.RingDim, m.RingSeed)
+	shards, err := hashring.NewShards(m.RingPositions, m.RingDim, m.RingSeed, len(m.Shards))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: building routing ring: %w", err)
 	}
-	t := &Topology{man: m, ring: ring, index: make(map[string]int, len(m.Shards))}
-	for i := range m.Shards {
-		name := ShardMember(i)
-		if _, err := ring.Add(name); err != nil {
-			return nil, fmt.Errorf("cluster: placing %s: %w", name, err)
-		}
-		t.members = append(t.members, name)
-		t.index[name] = i
-	}
-	return t, nil
+	return &Topology{Shards: shards, man: m}, nil
 }
 
 // Manifest returns the manifest the topology was built from. Callers must
 // treat it as immutable.
 func (t *Topology) Manifest() *Manifest { return t.man }
 
-// NumShards returns the shard count.
-func (t *Topology) NumShards() int { return len(t.members) }
-
 // Endpoints returns shard i's endpoint set.
 func (t *Topology) Endpoints(i int) ShardEndpoints { return t.man.Shards[i] }
-
-// ShardForKey returns the shard that owns an arbitrary routing key.
-func (t *Topology) ShardForKey(key string) int {
-	name, ok := t.ring.Lookup(key)
-	if !ok {
-		return 0 // unreachable: Validate guarantees at least one member
-	}
-	return t.index[name]
-}
-
-// ShardForClass returns the shard that owns a global class id.
-func (t *Topology) ShardForClass(class int) int {
-	return t.ShardForKey(ClassKey(class))
-}
-
-// ShardForItem returns the shard that owns an item-memory symbol.
-func (t *Topology) ShardForItem(symbol string) int {
-	return t.ShardForKey(ItemKey(symbol))
-}
 
 // ClassesOwnedBy returns the ascending global class ids (of a model with
 // `classes` total) owned by shard i — the selection a scatter-gather

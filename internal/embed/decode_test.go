@@ -43,7 +43,7 @@ func TestDecodeWeightedInterpolatesBetweenLevels(t *testing.T) {
 	acc := bitvec.NewAccumulator(d)
 	acc.Add(e.Encode(6))
 	acc.Add(e.Encode(7))
-	q := acc.Threshold(bitvec.TieRandom, rng.New(95))
+	q := acc.Threshold(rng.New(95))
 	got := e.DecodeWeighted(q, 4)
 	if got < 5.5 || got > 7.5 {
 		t.Errorf("weighted decode of 6/7 bundle = %v, want in (5.5, 7.5)", got)
@@ -64,7 +64,7 @@ func TestDecodeWeightedCircularWrapsCorrectly(t *testing.T) {
 	acc := bitvec.NewAccumulator(d)
 	acc.Add(e.Encode(23))
 	acc.Add(e.Encode(1))
-	q := acc.Threshold(bitvec.TieRandom, rng.New(97))
+	q := acc.Threshold(rng.New(97))
 	got := e.DecodeWeighted(q, 4)
 	distToZero := math.Min(got, 24-got)
 	if distToZero > 2.5 {
@@ -118,7 +118,7 @@ func TestDecodeWeightedReducesRegressionError(t *testing.T) {
 		theta := train.Float64() * 2 * math.Pi
 		acc.Add(xe.Encode(theta).Xor(ye.Encode(math.Sin(theta))))
 	}
-	model := acc.Threshold(bitvec.TieRandom, rng.New(103))
+	model := acc.Threshold(rng.New(103))
 
 	var seNearest, seWeighted float64
 	n := 150

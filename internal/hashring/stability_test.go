@@ -64,6 +64,18 @@ func TestRingStabilityGoldens(t *testing.T) {
 			t.Errorf("Lookup(%q) = %q (ok=%v), golden %q", key, got, ok, want)
 		}
 	}
+
+	// Shards places the same members in the same order on the same ring,
+	// so it routes every key to the shard of its golden member.
+	s, err := NewShards(8, 1024, 42, len(wantSlots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range lookups {
+		if got := ShardMember(s.ShardForKey(key)); got != want {
+			t.Errorf("Shards routes %q to %s, golden %s", key, got, want)
+		}
+	}
 }
 
 // TestHashGoldens pins the raw FNV-1a values the slot math divides — the

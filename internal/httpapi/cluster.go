@@ -9,7 +9,7 @@ package httpapi
 import (
 	"net/http"
 
-	"hdcirc/internal/cluster"
+	"hdcirc/internal/hashring"
 )
 
 // wrongShardError builds the misrouted-write rejection: the shard-tier
@@ -37,7 +37,7 @@ func (a *API) checkSampleOwnership(label int) *Error {
 		return nil
 	}
 	if owner := node.ShardForClass(label); owner != node.Shard {
-		return a.wrongShardError(cluster.ClassKey(label), owner)
+		return a.wrongShardError(hashring.ClassKey(label), owner)
 	}
 	return nil
 }
@@ -49,7 +49,7 @@ func (a *API) checkSymbolOwnership(symbol string) *Error {
 		return nil
 	}
 	if owner := node.ShardForItem(symbol); owner != node.Shard {
-		return a.wrongShardError(cluster.ItemKey(symbol), owner)
+		return a.wrongShardError(hashring.ItemKey(symbol), owner)
 	}
 	return nil
 }

@@ -44,8 +44,7 @@ import (
 type Classifier struct {
 	k, d    int
 	accs    []*bitvec.Accumulator
-	tie     bitvec.TieBreak
-	src     *rng.Stream
+	src     *rng.Stream      // tie coins for Finalize, unless tieVecs is set
 	tieVecs []*bitvec.Vector // optional fixed per-class tie vectors; see SetTieVectors
 	ixCfg   index.Config     // how Predict searches the prototypes; see SetIndexConfig
 
@@ -69,7 +68,6 @@ func NewClassifier(k, d int, seed uint64) *Classifier {
 	return &Classifier{
 		k: k, d: d,
 		accs: accs,
-		tie:  bitvec.TieRandom,
 		src:  rng.Sub(seed, "classifier/ties"),
 	}
 }
@@ -148,7 +146,7 @@ func (c *Classifier) finalizeLocked() *index.Set {
 		if c.tieVecs != nil {
 			vs[i] = acc.ThresholdTieVector(c.tieVecs[i])
 		} else {
-			vs[i] = acc.Threshold(c.tie, c.src)
+			vs[i] = acc.Threshold(c.src)
 		}
 	}
 	set := index.NewSet(vs, c.ixCfg, nil)
@@ -249,8 +247,7 @@ type Regressor struct {
 	d     int
 	acc   *bitvec.Accumulator
 	bound *bitvec.Vector // Add's binding scratch; Add, like acc, has one writer
-	tie   bitvec.TieBreak
-	src   *rng.Stream
+	src   *rng.Stream    // tie coins for Finalize
 
 	mu    sync.Mutex                    // serializes finalization
 	model atomic.Pointer[bitvec.Vector] // thresholded; nil until finalize
@@ -266,7 +263,6 @@ func NewRegressor(d int, seed uint64) *Regressor {
 		d:     d,
 		acc:   bitvec.NewAccumulator(d),
 		bound: bitvec.New(d),
-		tie:   bitvec.TieRandom,
 		src:   rng.Sub(seed, "regressor/ties"),
 	}
 }
@@ -294,7 +290,7 @@ func (r *Regressor) Finalize() {
 }
 
 func (r *Regressor) finalizeLocked() *bitvec.Vector {
-	m := r.acc.Threshold(r.tie, r.src)
+	m := r.acc.Threshold(r.src)
 	r.model.Store(m)
 	return m
 }

@@ -168,11 +168,7 @@ func (s *Server) Restore(r io.Reader) error {
 		sh.cls.Add(sh.local[c], clf.ClassVector(c))
 	}
 	for _, sym := range syms {
-		sh, err := s.routeKey("item/" + sym)
-		if err != nil {
-			return err
-		}
-		s.shards[sh].items.Get(sym)
+		s.shards[s.ring.ShardForItem(sym)].items.Get(sym)
 	}
 	s.version = version
 	s.samples = samples

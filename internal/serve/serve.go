@@ -29,7 +29,7 @@
 // at every published version.
 //
 // Sharding follows the HD-hashing lineage the repo reproduces (Heddes et
-// al., DAC 2022): an internal/hashring ring routes class ids and item
+// al., DAC 2022): a hashring.Shards ring routes class ids and item
 // symbols to per-shard sub-models, so k classes or large item memories
 // spread across shards, and the per-shard work (apply, finalize, scans)
 // fans out over the internal/batch pool.
@@ -102,7 +102,7 @@ type Server struct {
 	cfg     Config
 	ixCfg   index.Config // resolved search configuration of every shard collection
 	pool    *batch.Pool
-	ring    *hashring.Ring
+	ring    *hashring.Shards
 	shardOf []int // global class id → shard
 
 	// wsem admits one writer at a time ahead of mu, so a writer stalled on
@@ -205,9 +205,6 @@ func (st State) String() string {
 	}
 }
 
-// shardMember returns shard i's ring member name.
-func shardMember(i int) string { return fmt.Sprintf("shard/%d", i) }
-
 // NewServer validates the config, builds the ring and shard masters, and
 // publishes snapshot version 0 (the empty model). Config problems are
 // errors, not panics: server sizing comes from operator input.
@@ -230,14 +227,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.RingPositions < cfg.Shards {
 		return nil, fmt.Errorf("serve: %d ring positions cannot hold %d shards", cfg.RingPositions, cfg.Shards)
 	}
-	ring, err := hashring.New(cfg.RingPositions, cfg.Dim, rng.Sub(cfg.Seed, "serve/ring").Uint64())
+	ring, err := hashring.NewShards(cfg.RingPositions, cfg.Dim, rng.Sub(cfg.Seed, "serve/ring").Uint64(), cfg.Shards)
 	if err != nil {
 		return nil, fmt.Errorf("serve: building routing ring: %w", err)
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		if _, err := ring.Add(shardMember(i)); err != nil {
-			return nil, fmt.Errorf("serve: placing shard %d: %w", i, err)
-		}
 	}
 
 	ixCfg := index.DefaultConfig()
@@ -265,10 +257,7 @@ func NewServer(cfg Config) (*Server, error) {
 	// each shard's class list stays sorted (the global tie-break in Predict
 	// depends on that).
 	for c := 0; c < cfg.Classes; c++ {
-		sh, err := s.routeKey(fmt.Sprintf("class/%d", c))
-		if err != nil {
-			return nil, err
-		}
+		sh := ring.ShardForClass(c)
 		s.shardOf[c] = sh
 		st := s.shards[sh]
 		st.local[c] = len(st.classes)
@@ -299,26 +288,11 @@ func classTieVector(seed uint64, d, class int) *bitvec.Vector {
 	return bitvec.Random(d, rng.Sub(seed, fmt.Sprintf("serve/ties/class/%d", class)))
 }
 
-// routeKey maps an arbitrary routing key to a shard index via the ring.
-func (s *Server) routeKey(key string) (int, error) {
-	member, ok := s.ring.Lookup(key)
-	if !ok {
-		return 0, errors.New("serve: routing ring has no members")
-	}
-	var sh int
-	if _, err := fmt.Sscanf(member, "shard/%d", &sh); err != nil || sh < 0 || sh >= len(s.shards) {
-		return 0, fmt.Errorf("serve: ring returned foreign member %q", member)
-	}
-	return sh, nil
-}
-
 // Route reports which shard serves an arbitrary routing key, with the ring
 // member name and ring slot — the HD-hashing lookup as a service. Safe for
 // concurrent use (ring membership is fixed after construction).
 func (s *Server) Route(key string) (shard int, member string, slot int) {
-	member, _ = s.ring.Lookup(key)
-	fmt.Sscanf(member, "shard/%d", &shard)
-	return shard, member, s.ring.KeySlot(key)
+	return s.ring.Route(key)
 }
 
 // Config returns the server's (normalized) configuration.
@@ -587,10 +561,7 @@ func (s *Server) applyLocked(b *Batch) (*Snapshot, error) {
 
 	// Item-memory membership churn, routed by symbol.
 	for _, sym := range b.Items {
-		sh, err := s.routeKey("item/" + sym)
-		if err != nil {
-			return nil, err
-		}
+		sh := s.ring.ShardForItem(sym)
 		st := s.shards[sh]
 		before := st.items.Len()
 		st.items.Get(sym)

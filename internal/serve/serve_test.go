@@ -6,6 +6,7 @@ import (
 
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/embed"
+	"hdcirc/internal/hashring"
 	"hdcirc/internal/model"
 	"hdcirc/internal/rng"
 )
@@ -200,7 +201,7 @@ func TestRouteAndStats(t *testing.T) {
 	if shard < 0 || shard >= 4 {
 		t.Errorf("route shard = %d", shard)
 	}
-	if member != shardMember(shard) {
+	if member != hashring.ShardMember(shard) {
 		t.Errorf("member %q for shard %d", member, shard)
 	}
 	if slot < 0 || slot >= s.Config().RingPositions {
@@ -349,11 +350,13 @@ func TestWarmStartContinuedTraining(t *testing.T) {
 	}
 }
 
+// TestShardMemberName checks the member names the serving ring places,
+// which the cluster ring shares.
 func TestShardMemberName(t *testing.T) {
-	if shardMember(3) != "shard/3" {
-		t.Errorf("shardMember(3) = %q", shardMember(3))
+	if hashring.ShardMember(3) != "shard/3" {
+		t.Errorf("ShardMember(3) = %q", hashring.ShardMember(3))
 	}
-	if shardMember(0) != "shard/0" {
-		t.Error("shardMember(0)")
+	if hashring.ShardMember(0) != "shard/0" {
+		t.Error("ShardMember(0)")
 	}
 }

@@ -155,3 +155,41 @@ func TestStreamFromConcurrentAppends(t *testing.T) {
 		t.Fatalf("final stream: %d records, next %d", len(got), next)
 	}
 }
+
+// TestStreamFromSkipsWithoutAllocating: records below from are verified in
+// one reused buffer, so streaming the last record of an N-record segment
+// makes the same number of allocations at any N.
+func TestStreamFromSkipsWithoutAllocating(t *testing.T) {
+	allocs := func(n int) float64 {
+		l, err := Open(t.TempDir(), Options{SyncEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		payload := make([]byte, 64)
+		for i := 0; i < n; i++ {
+			if _, err := l.Append(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if segs := len(l.Segments()); segs != 1 {
+			t.Fatalf("%d records filled %d segments, want 1", n, segs)
+		}
+		shipped := 0
+		a := testing.AllocsPerRun(20, func() {
+			if _, err := l.StreamFrom(uint64(n), func(uint64, []byte) error {
+				shipped++
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if shipped != 21 { // AllocsPerRun's warm-up run plus 20
+			t.Fatalf("streamed %d records over 21 runs, want 21", shipped)
+		}
+		return a
+	}
+	if small, large := allocs(16), allocs(512); large != small {
+		t.Fatalf("StreamFrom of the last record allocates %v times after 16 records and %v after 512", small, large)
+	}
+}

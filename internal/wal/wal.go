@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -141,7 +142,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		if i == 0 {
 			wantSeq = 0
 		}
-		seg, intactBytes, scanErr := scanSegment(fs, path, wantSeq)
+		seg, intactBytes, scanErr := readSegment(fs, path, wantSeq, math.MaxUint64, 0, nil)
 		if scanErr != nil {
 			// This segment is unusable from intactBytes on. Keep its intact
 			// prefix when it has one; set aside everything after the fault.
@@ -210,13 +211,20 @@ func seqFromName(name string) (uint64, error) {
 	return strconv.ParseUint(body, 10, 64)
 }
 
-// scanSegment walks one segment validating every frame. It returns the
-// segment summary, the byte offset of the end of the last intact record,
-// and a non-nil error when the segment ends in anything but a clean EOF —
-// in which case the summary covers the intact prefix only. wantSeq is the
-// sequence number the first record must carry (0 skips the continuity
-// check for the first segment).
-func scanSegment(fs vfs.FS, path string, wantSeq uint64) (segment, int64, error) {
+// readSegment is the one reader of a segment file: Open's recovery scan
+// and StreamFrom both go through it. It validates the header (magic,
+// format, the sequence number in the file name, and wantSeq unless that
+// is 0, which skips the continuity check for the first segment), then
+// every record's length bound, sequence chain and CRC. It stops at a clean
+// end of file or after limit records, whichever comes first.
+//
+// Each record with seq >= from goes to fn, when fn is non-nil, in a fresh
+// allocation, since fn may keep it; every other record is verified in one
+// reused buffer. readSegment returns the segment summary, the byte offset
+// of the end of the last intact record, and a non-nil error when the
+// segment ends in anything but a clean end of file or when fn fails; the
+// summary then covers the intact prefix only.
+func readSegment(fs vfs.FS, path string, wantSeq, limit, from uint64, fn func(uint64, []byte) error) (segment, int64, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return segment{}, 0, fmt.Errorf("wal: opening segment: %w", err)
@@ -224,17 +232,17 @@ func scanSegment(fs vfs.FS, path string, wantSeq uint64) (segment, int64, error)
 	defer f.Close()
 
 	seg := segment{path: path}
-	header := make([]byte, segHeaderLen)
-	if _, err := io.ReadFull(f, header); err != nil {
+	var hdr [max(segHeaderLen, recHeaderLen)]byte
+	if _, err := io.ReadFull(f, hdr[:segHeaderLen]); err != nil {
 		return seg, 0, fmt.Errorf("wal: segment header: %w", err)
 	}
-	if string(header[:4]) != segmentMagic {
+	if string(hdr[:4]) != segmentMagic {
 		return seg, 0, errors.New("wal: bad segment magic")
 	}
-	if format := binary.LittleEndian.Uint32(header[4:]); format != segmentFormat {
+	if format := binary.LittleEndian.Uint32(hdr[4:]); format != segmentFormat {
 		return seg, 0, fmt.Errorf("wal: unsupported segment format %d", format)
 	}
-	seg.firstSeq = binary.LittleEndian.Uint64(header[8:])
+	seg.firstSeq = binary.LittleEndian.Uint64(hdr[8:])
 	if nameSeq, err := seqFromName(filepath.Base(path)); err != nil || nameSeq != seg.firstSeq {
 		return seg, 0, errors.New("wal: segment header disagrees with file name")
 	}
@@ -244,38 +252,49 @@ func scanSegment(fs vfs.FS, path string, wantSeq uint64) (segment, int64, error)
 
 	intact := int64(segHeaderLen)
 	next := seg.firstSeq
-	rec := make([]byte, recHeaderLen)
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(f, rec); err != nil {
+	var scratch []byte
+	for seg.records < limit {
+		if _, err := io.ReadFull(f, hdr[:recHeaderLen]); err != nil {
 			if err == io.EOF {
 				return seg, intact, nil // clean end
 			}
 			return seg, intact, fmt.Errorf("wal: torn record header at offset %d", intact)
 		}
-		plen := binary.LittleEndian.Uint32(rec[0:])
-		crc := binary.LittleEndian.Uint32(rec[4:])
-		seq := binary.LittleEndian.Uint64(rec[8:])
+		plen := binary.LittleEndian.Uint32(hdr[0:])
+		crc := binary.LittleEndian.Uint32(hdr[4:])
+		seq := binary.LittleEndian.Uint64(hdr[8:])
 		if plen > MaxRecordBytes {
 			return seg, intact, fmt.Errorf("wal: implausible record length %d at offset %d", plen, intact)
 		}
 		if seq != next {
 			return seg, intact, fmt.Errorf("wal: sequence break at offset %d: record %d, expected %d", intact, seq, next)
 		}
-		if int(plen) > cap(payload) {
+		deliver := fn != nil && seq >= from
+		var payload []byte
+		if deliver {
 			payload = make([]byte, plen)
+		} else {
+			if int(plen) > cap(scratch) {
+				scratch = make([]byte, plen)
+			}
+			payload = scratch[:plen]
 		}
-		payload = payload[:plen]
 		if _, err := io.ReadFull(f, payload); err != nil {
 			return seg, intact, fmt.Errorf("wal: torn record payload at offset %d", intact)
 		}
 		if recordCRC(seq, payload) != crc {
 			return seg, intact, fmt.Errorf("wal: CRC mismatch at offset %d (record %d)", intact, seq)
 		}
+		if deliver {
+			if err := fn(seq, payload); err != nil {
+				return seg, intact, err
+			}
+		}
 		intact += int64(recHeaderLen) + int64(plen)
 		seg.records++
 		next++
 	}
+	return seg, intact, nil
 }
 
 // RecordCRC returns the checksum the log stores with record seq — the
@@ -286,10 +305,15 @@ func RecordCRC(seq uint64, payload []byte) uint32 { return recordCRC(seq, payloa
 
 // recordCRC checksums a record's sequence number together with its
 // payload, so a frame copied to the wrong position fails verification.
+// The eight little-endian bytes of seq go through the table a byte at a
+// time: handing crc32 a slice of a stack array would move the array to the
+// heap, one allocation per record on every append and every read.
 func recordCRC(seq uint64, payload []byte) uint32 {
-	var sb [8]byte
-	binary.LittleEndian.PutUint64(sb[:], seq)
-	return crc32.Update(crc32.Checksum(sb[:], crcTable), crcTable, payload)
+	crc := ^uint32(0)
+	for i := 0; i < 8; i++ {
+		crc = crcTable[byte(crc)^byte(seq>>(8*i))] ^ crc>>8
+	}
+	return crc32.Update(^crc, crcTable, payload)
 }
 
 // NextSeq returns the sequence number the next Append will be assigned.
@@ -308,43 +332,6 @@ func (l *Log) Segments() []string {
 		out[i] = l.segs[i].path
 	}
 	return out
-}
-
-// replaySegment re-reads seg from disk and passes every record with
-// seq >= from to fn. Recovery already validated every frame, so a failure
-// here is a new I/O fault.
-func replaySegment(fs vfs.FS, seg segment, from uint64, fn func(uint64, []byte) error) error {
-	f, err := fs.Open(seg.path)
-	if err != nil {
-		return fmt.Errorf("wal: reopening segment for replay: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(segHeaderLen, io.SeekStart); err != nil {
-		return err
-	}
-	rec := make([]byte, recHeaderLen)
-	for i := uint64(0); i < seg.records; i++ {
-		if _, err := io.ReadFull(f, rec); err != nil {
-			return fmt.Errorf("wal: replay read: %w", err)
-		}
-		plen := binary.LittleEndian.Uint32(rec[0:])
-		crc := binary.LittleEndian.Uint32(rec[4:])
-		seq := binary.LittleEndian.Uint64(rec[8:])
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return fmt.Errorf("wal: replay read: %w", err)
-		}
-		if recordCRC(seq, payload) != crc {
-			return fmt.Errorf("wal: replay CRC mismatch on record %d", seq)
-		}
-		if seq < from {
-			continue
-		}
-		if err := fn(seq, payload); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // OldestSeq returns the sequence number of the oldest record the log can
@@ -400,8 +387,13 @@ func (l *Log) StreamFrom(from uint64, fn func(seq uint64, payload []byte) error)
 		if seg.firstSeq+seg.records <= from {
 			continue
 		}
-		if err := replaySegment(l.fs, seg, from, fn); err != nil {
+		// Stop at the snapshotted count: the tail segment keeps growing.
+		got, _, err := readSegment(l.fs, seg.path, seg.firstSeq, seg.records, from, fn)
+		if err != nil {
 			return 0, err
+		}
+		if got.records != seg.records {
+			return 0, fmt.Errorf("wal: %s ended after %d of its %d records", filepath.Base(seg.path), got.records, seg.records)
 		}
 	}
 	return next, nil
