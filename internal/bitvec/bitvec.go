@@ -26,14 +26,22 @@
 //     fixed tie vector, which keeps the bundle deterministic.
 //   - Rotation (RotateBits, Rotate) is two d-bit word shifts, O(d/64) for
 //     any dimension including non-multiples of 64.
-//   - Nearest-neighbor search (Nearest, NearestXor, DistanceMany and
-//     XorDistance in nearest.go; DistanceBounded and NearestPruned in
-//     pruned.go) fuses bind/compare/argmin into allocation-free scans with
-//     early exit.
+//   - Nearest-neighbor search fuses bind/compare/argmin into
+//     allocation-free kernels. Nearest, DistanceMany and XorDistance
+//     (nearest.go) and DistanceBounded and NearestPruned (pruned.go) scan
+//     an unordered candidate list with early exit. BasisWalk (nearest.go)
+//     decodes against an ordered basis set by walking its neighbour
+//     transitions T_k = L_k ⊕ L_{k+1}: one dense popcount against L_0,
+//     then only the nonzero words of each T_k, which gives every distance
+//     exactly. A level or circular set changes few words per step, so its
+//     walk reads a fixed fraction of the dense words whatever the query.
 //
 // The per-bit originals are kept in reference.go as the spec the kernels
 // are differential-tested against (kernels_test.go) — every kernel is
 // bit-identical to its reference, including random tie-coin consumption.
+// BasisWalk is tested against the dense scan it replaced (NearestXor, kept
+// in kernels_test.go as its reference) and, in FuzzBasisWalk, against the
+// per-bit distance.
 //
 // A Vector is a point in H = {0,1}^d. The zero value is not usable; create
 // vectors with New, NewFromBits or Random.

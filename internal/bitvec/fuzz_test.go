@@ -1,12 +1,12 @@
 package bitvec
 
-// Fuzz harnesses pinning the threshold-pruned kernels (pruned.go) and the
-// bundling kernel (majorityCSA) against the per-bit references in
-// reference.go. Dimensions are derived from the fuzzed inputs so
-// non-64-multiple word tails are exercised constantly; the seed corpora
-// (testdata/fuzz/ for the pruned kernels, f.Add for the bundling kernel)
-// check in the word-boundary cases (d = 1, 63..65, 127..129) plus
-// representative bounds and operand counts.
+// Fuzz harnesses pinning the threshold-pruned kernels (pruned.go), the
+// basis walk (BasisWalk) and the bundling kernel (majorityCSA) against the
+// per-bit references in reference.go. Dimensions are derived from the
+// fuzzed inputs so non-64-multiple word tails are exercised constantly;
+// the seed corpora (testdata/fuzz/ for the pruned kernels, f.Add for the
+// walk and the bundling kernel) check in the word-boundary cases (d = 1,
+// 63..65, 127..129) plus representative bounds, chains and operand counts.
 
 import "testing"
 
@@ -143,6 +143,87 @@ func FuzzMajority(f *testing.F) {
 		}
 		if !got.Equal(want) {
 			t.Fatalf("d=%d k=%d mode=%d keyed=%v: kernel diverges from the reference", d, k, mode%2, keyed)
+		}
+	})
+}
+
+// FuzzBasisWalk builds an ordered chain of 1–40 vectors from the fuzzed
+// bytes and checks the walk's argmin and whole distance profile against
+// the per-bit reference distance, for a plain and a bound query. Each step
+// is chosen by one byte of ops:
+//
+//   - level-like: flip a sparse pattern (about one bit in eight);
+//   - flip back: replay an earlier step's transition, the way a circular
+//     set's second phase undoes its first, or return to an earlier vector;
+//   - random-like: a fresh vector, which changes almost every word.
+//
+// Returning to earlier vectors makes exact ties common at small d.
+func FuzzBasisWalk(f *testing.F) {
+	for _, d := range []uint16{1, 63, 64, 65, 127, 129, 640} {
+		f.Add([]byte{0x5a, byte(d), 0xc3, 0x0f}, []byte{0, 0, 1, 2, 0, 1}, uint8(d%37), d-1)
+		f.Add([]byte("circular"), []byte{0, 0, 0, 1, 1, 1}, uint8(6), d-1)
+		f.Add([]byte{0xff, 0x00}, []byte{2, 2, 2}, uint8(9), d-1)
+	}
+	f.Add([]byte{}, []byte{}, uint8(0), uint16(0)) // m = 1, zero vectors
+	f.Fuzz(func(t *testing.T, pool, ops []byte, mRaw uint8, dRaw uint16) {
+		d := fuzzDim(dRaw)
+		m := int(mRaw)%40 + 1
+		vs := []*Vector{vecFromBytes(d, pool, 0)}
+		var trans []*Vector
+		for k := 1; k < m; k++ {
+			op := byte(k)
+			if len(ops) > 0 {
+				op = ops[k%len(ops)]
+			}
+			prev := vs[k-1]
+			var next *Vector
+			switch op % 3 {
+			case 0:
+				sparse := vecFromBytes(d, pool, 3*k)
+				for i := 1; i < 3; i++ {
+					w := vecFromBytes(d, pool, 3*k+i)
+					for j := range sparse.words {
+						sparse.words[j] &= w.words[j]
+					}
+				}
+				next = prev.Xor(sparse)
+			case 1:
+				if len(trans) > 0 && op&4 == 0 {
+					next = prev.Xor(trans[int(op>>3)%len(trans)])
+				} else {
+					next = vs[int(op>>3)%k].Clone()
+				}
+			default:
+				next = vecFromBytes(d, pool, 5*k+1).Not()
+			}
+			trans = append(trans, prev.Xor(next))
+			vs = append(vs, next)
+		}
+		bw := NewBasisWalk(vs)
+		x := vecFromBytes(d, pool, 7)
+		y := vecFromBytes(d, pool, 11).Not()
+		xy := x.Xor(y)
+		for _, bound := range []bool{false, true} {
+			dist := make([]int, m)
+			var idx, hd int
+			if bound {
+				idx, hd = bw.NearestXor(x, y, dist)
+			} else {
+				idx, hd = bw.Nearest(x, dist)
+			}
+			q := x
+			if bound {
+				q = xy
+			}
+			wantIdx, wantHD := referenceNearestPruned(q, vs, d+1)
+			if idx != wantIdx || hd != wantHD {
+				t.Fatalf("d=%d m=%d bound=%v: walk (%d,%d), reference (%d,%d)", d, m, bound, idx, hd, wantIdx, wantHD)
+			}
+			for k, v := range vs {
+				if want := referenceHammingDistance(q, v); dist[k] != want {
+					t.Fatalf("d=%d m=%d bound=%v: dist[%d] = %d, reference %d", d, m, bound, k, dist[k], want)
+				}
+			}
 		}
 	})
 }

@@ -8,6 +8,7 @@ package bitvec
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -250,3 +251,32 @@ func TestXorDistanceMatchesMaterializedBinding(t *testing.T) {
 		}
 	}
 }
+
+// NearestXor returns the index in vs of the vector nearest to the binding
+// x ⊗ y (ties resolve to the lowest index) and the Hamming distance, with
+// the same early-exit scan as Nearest. It was the regressor's label decode
+// before BasisWalk, and it stays here as the walk's reference.
+func NearestXor(x, y *Vector, vs []*Vector) (idx, hd int) {
+	if len(vs) == 0 {
+		panic("bitvec: NearestXor over zero candidates")
+	}
+	x.mustMatch(y)
+	best, bestIdx := x.d+1, 0
+	for i, v := range vs {
+		x.mustMatch(v)
+		n := 0
+		for j, w := range v.words {
+			n += bits.OnesCount64(x.words[j] ^ y.words[j] ^ w)
+			if n >= best {
+				break
+			}
+		}
+		if n < best {
+			best, bestIdx = n, i
+		}
+	}
+	return bestIdx, best
+}
+
+// WalkEntries returns the number of transition words a query walks.
+func (bw *BasisWalk) WalkEntries() int { return len(bw.words) }

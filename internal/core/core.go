@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/markov"
@@ -105,6 +106,9 @@ type Set struct {
 	d    int
 	r    float64
 	vecs []*bitvec.Vector
+
+	walkOnce sync.Once
+	walk     *bitvec.BasisWalk // built by the first Walk call
 }
 
 // Kind returns the family the set was generated from.
@@ -126,6 +130,14 @@ func (s *Set) At(i int) *bitvec.Vector { return s.vecs[i] }
 
 // Vectors returns the backing slice (shared, not copied).
 func (s *Set) Vectors() []*bitvec.Vector { return s.vecs }
+
+// Walk returns the set's decode walk (bitvec.BasisWalk): the nearest-vector
+// search the encoders decode through. It is built once, on the first call,
+// so a set that is only encoded never builds one. Safe for concurrent use.
+func (s *Set) Walk() *bitvec.BasisWalk {
+	s.walkOnce.Do(func() { s.walk = bitvec.NewBasisWalk(s.vecs) })
+	return s.walk
+}
 
 // validate panics on non-sensical set parameters; generation happens at
 // model-construction time where a panic is the right failure mode for a

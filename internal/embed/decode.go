@@ -15,38 +15,32 @@ import (
 	"sort"
 
 	"hdcirc/internal/bitvec"
+	"hdcirc/internal/core"
 )
 
 // topK returns the indexes of the k smallest distances between q and the
-// set's vectors, ordered best first, along with the distances.
-func topK(q *bitvec.Vector, set interface {
-	Len() int
-	At(int) *bitvec.Vector
-}, k int) ([]int, []float64) {
+// set's vectors, ordered best first (ties to the lower index), along with
+// the normalized distances. The distances come from one walk of the set
+// (core.Set.Walk) as hd/d, the same float Vector.Distance returns.
+func topK(q *bitvec.Vector, set *core.Set, k int) ([]int, []float64) {
 	n := set.Len()
 	if k > n {
 		k = n
 	}
-	type cand struct {
-		idx int
-		d   float64
+	hd := make([]int, n)
+	set.Walk().Nearest(q, hd)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	cands := make([]cand, n)
-	for i := 0; i < n; i++ {
-		cands[i] = cand{i, q.Distance(set.At(i))}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].d != cands[b].d {
-			return cands[a].d < cands[b].d
-		}
-		return cands[a].idx < cands[b].idx
-	})
-	idx := make([]int, k)
+	// A stable sort on the distance alone keeps equal distances in index
+	// order.
+	sort.SliceStable(idx, func(a, b int) bool { return hd[idx[a]] < hd[idx[b]] })
 	dist := make([]float64, k)
-	for i := 0; i < k; i++ {
-		idx[i], dist[i] = cands[i].idx, cands[i].d
+	for i := range dist {
+		dist[i] = float64(hd[idx[i]]) / float64(set.Dim())
 	}
-	return idx, dist
+	return idx[:k], dist
 }
 
 // weights converts top-k distances into normalized weights: each candidate
@@ -76,7 +70,12 @@ func (e *ScalarEncoder) DecodeWeighted(q *bitvec.Vector, k int) float64 {
 	if k == 1 {
 		return e.Decode(q)
 	}
-	idx, dist := topK(q, e.set, k)
+	return e.weightedMean(topK(q, e.set, k))
+}
+
+// weightedMean returns the margin-weighted mean of the values at the top-k
+// indexes idx, whose distances are dist.
+func (e *ScalarEncoder) weightedMean(idx []int, dist []float64) float64 {
 	w := weights(dist)
 	var out float64
 	for i, ix := range idx {
@@ -96,7 +95,17 @@ func (e *CircularEncoder) DecodeWeighted(q *bitvec.Vector, k int) float64 {
 	if k == 1 {
 		return e.Decode(q)
 	}
-	idx, dist := topK(q, e.set, k)
+	if phase, ok := e.weightedMean(topK(q, e.set, k)); ok {
+		return phase
+	}
+	// Degenerate balance: fall back to the nearest vector.
+	return e.Decode(q)
+}
+
+// weightedMean returns the margin-weighted circular mean of the phases at
+// the top-k indexes idx, whose distances are dist; ok is false when the
+// weighted unit vectors cancel out and the mean has no direction.
+func (e *CircularEncoder) weightedMean(idx []int, dist []float64) (phase float64, ok bool) {
 	w := weights(dist)
 	var c, s float64
 	for i, ix := range idx {
@@ -105,12 +114,11 @@ func (e *CircularEncoder) DecodeWeighted(q *bitvec.Vector, k int) float64 {
 		s += w[i] * math.Sin(theta)
 	}
 	if c == 0 && s == 0 {
-		// Degenerate balance: fall back to the nearest vector.
-		return e.Decode(q)
+		return 0, false
 	}
 	theta := math.Atan2(s, c)
 	if theta < 0 {
 		theta += 2 * math.Pi
 	}
-	return theta * e.period / (2 * math.Pi)
+	return theta * e.period / (2 * math.Pi), true
 }

@@ -1,13 +1,155 @@
 package embed
 
 import (
+	"fmt"
 	"math"
+	"sort"
+	"sync"
 	"testing"
 
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/core"
 	"hdcirc/internal/rng"
 )
+
+// denseTopK is topK as it was before the walk: one Vector.Distance per
+// basis vector, then a sort on (distance, index). It is the reference the
+// walk's top-k is pinned against.
+func denseTopK(q *bitvec.Vector, set *core.Set, k int) ([]int, []float64) {
+	n := set.Len()
+	if k > n {
+		k = n
+	}
+	type cand struct {
+		idx int
+		d   float64
+	}
+	cands := make([]cand, n)
+	for i := 0; i < n; i++ {
+		cands[i] = cand{i, q.Distance(set.At(i))}
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].d != cands[b].d {
+			return cands[a].d < cands[b].d
+		}
+		return cands[a].idx < cands[b].idx
+	})
+	idx := make([]int, k)
+	dist := make([]float64, k)
+	for i := 0; i < k; i++ {
+		idx[i], dist[i] = cands[i].idx, cands[i].d
+	}
+	return idx, dist
+}
+
+func TestDecodeWeightedMatchesDenseTopK(t *testing.T) {
+	// Both encoders' weighted decodes, on level, circular and random sets,
+	// must equal what the dense top-k gives, bit for bit. Small dimensions
+	// make distance ties common, so the tie order is checked too.
+	src := rng.New(131)
+	for _, d := range []int{1, 64, 65, 1000, 10000} {
+		for _, c := range []struct {
+			name string
+			set  *core.Set
+		}{
+			{"level32", core.LevelSet(32, d, src)},
+			{"level9_r0.2", core.LevelSetR(9, d, 0.2, src)},
+			{"circular24", core.CircularSetR(24, d, 0.01, src)},
+			{"circular7", core.CircularSet(7, d, src)},
+			{"random16", core.RandomSet(16, d, src)},
+		} {
+			name, set := c.name, c.set
+			m := set.Len()
+			se := NewScalarEncoder(set, -1, 1)
+			ce := NewCircularEncoder(set, 24)
+			acc := bitvec.NewAccumulator(d)
+			acc.Add(set.At(m / 3))
+			acc.Add(set.At(m/3 + 1))
+			queries := []*bitvec.Vector{
+				acc.Threshold(src), // between two neighbours
+				flipSome(set.At(m-1), 0.125, src),
+				flipSome(set.At(0), 0.4, src),
+				bitvec.Random(d, src),
+			}
+			for qi, q := range queries {
+				for _, k := range []int{2, 3, 5, m + 3} {
+					at := fmt.Sprintf("d=%d %s query %d k=%d", d, name, qi, k)
+					idx, dist := topK(q, set, k)
+					wantIdx, wantDist := denseTopK(q, set, k)
+					for i := range wantIdx {
+						if len(idx) != len(wantIdx) || idx[i] != wantIdx[i] || dist[i] != wantDist[i] {
+							t.Fatalf("%s: topK = %v %v, dense %v %v", at, idx, dist, wantIdx, wantDist)
+						}
+					}
+					if got, want := se.DecodeWeighted(q, k), se.weightedMean(wantIdx, wantDist); got != want {
+						t.Fatalf("%s: scalar DecodeWeighted = %v, dense %v", at, got, want)
+					}
+					want, ok := ce.weightedMean(wantIdx, wantDist)
+					if !ok {
+						want = ce.Decode(q)
+					}
+					if got := ce.DecodeWeighted(q, k); got != want {
+						t.Fatalf("%s: circular DecodeWeighted = %v, dense %v", at, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestConcurrentFirstDecode(t *testing.T) {
+	// Goroutines racing on the first decode of fresh encoders build each
+	// set's walk once and agree with the dense scan; run under -race in CI.
+	const d, m = 1000, 64
+	src := rng.New(141)
+	labels := core.LevelSet(m, d, src)
+	phases := core.CircularSet(m, d, src)
+	queries := make([]*bitvec.Vector, 32)
+	want := make([]int, len(queries))
+	for i := range queries {
+		queries[i] = flipSome(labels.At((i*5)%m), 0.3, src)
+		want[i], _ = bitvec.Nearest(queries[i], labels.Vectors())
+	}
+	model := bitvec.Random(d, src)
+	bound := make([]*bitvec.Vector, len(queries))
+	for i, q := range queries {
+		bound[i] = model.Xor(q)
+	}
+	wantPhase := make([]int, len(queries))
+	for i, q := range queries {
+		wantPhase[i], _ = bitvec.Nearest(q, phases.Vectors())
+	}
+	se := NewScalarEncoder(labels, 0, m-1)
+	ce := NewCircularEncoder(phases, m)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for j := range queries {
+				i := (j + g) % len(queries)
+				switch g % 3 {
+				case 0:
+					if got := se.DecodeIndex(queries[i]); got != want[i] {
+						t.Errorf("goroutine %d: DecodeIndex %d = %d, want %d", g, i, got, want[i])
+					}
+				case 1:
+					if got := se.DecodeBound(model, bound[i]); got != se.Value(want[i]) {
+						t.Errorf("goroutine %d: DecodeBound %d = %v, want %v", g, i, got, se.Value(want[i]))
+					}
+				default:
+					if got := ce.DecodeIndex(queries[i]); got != wantPhase[i] {
+						t.Errorf("goroutine %d: circular DecodeIndex %d = %d, want %d", g, i, got, wantPhase[i])
+					}
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+}
 
 func TestDecodeWeightedK1EqualsDecode(t *testing.T) {
 	e := NewScalarEncoder(levelSet(16, 4096, 91), 0, 15)

@@ -213,10 +213,11 @@ func (e *ScalarEncoder) Encode(x float64) *bitvec.Vector {
 }
 
 // DecodeIndex returns the index of the basis vector most similar to q —
-// the φℓ⁻¹ nearest-label step of Section 2.3 — using the fused
-// nearest-neighbor kernel (ties resolve to the lowest index).
+// the φℓ⁻¹ nearest-label step of Section 2.3 — by walking the set's
+// neighbour transitions (core.Set.Walk); ties resolve to the lowest index.
+// It allocates nothing once the set's walk is built.
 func (e *ScalarEncoder) DecodeIndex(q *bitvec.Vector) int {
-	idx, _ := bitvec.Nearest(q, e.set.Vectors())
+	idx, _ := e.set.Walk().Nearest(q, nil)
 	return idx
 }
 
@@ -227,10 +228,12 @@ func (e *ScalarEncoder) Decode(q *bitvec.Vector) float64 {
 }
 
 // DecodeBound returns the value whose basis vector is most similar to the
-// binding a ⊗ b, without materializing the bound query — the fused
-// unbind-then-decode step regression prediction uses.
+// binding a ⊗ b — the fused unbind-then-decode step regression prediction
+// uses. The set's walk reads a ⊗ b word by word, so no bound query is
+// materialized and nothing is allocated once the walk is built. Ties
+// resolve to the lowest index, as in DecodeIndex.
 func (e *ScalarEncoder) DecodeBound(a, b *bitvec.Vector) float64 {
-	idx, _ := bitvec.NearestXor(a, b, e.set.Vectors())
+	idx, _ := e.set.Walk().NearestXor(a, b, nil)
 	return e.Value(idx)
 }
 
@@ -305,11 +308,11 @@ func (e *CircularEncoder) Encode(x float64) *bitvec.Vector {
 	return e.set.At(e.Index(x))
 }
 
-// DecodeIndex returns the index of the most similar basis vector, scanned
-// with the fused nearest-neighbor kernel (ties resolve to the lowest
-// index).
+// DecodeIndex returns the index of the most similar basis vector, found by
+// walking the set's neighbour transitions (core.Set.Walk); ties resolve to
+// the lowest index. It allocates nothing once the set's walk is built.
 func (e *CircularEncoder) DecodeIndex(q *bitvec.Vector) int {
-	idx, _ := bitvec.Nearest(q, e.set.Vectors())
+	idx, _ := e.set.Walk().Nearest(q, nil)
 	return idx
 }
 

@@ -60,6 +60,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"hdcirc/internal/bitvec"
 	"hdcirc/internal/rng"
@@ -141,8 +142,8 @@ func maxTail(indexed int) int {
 // Set is an immutable collection of hypervectors that answers nearest and
 // radius queries, scanning exactly or through a sketch index over a prefix
 // as the package comment describes. It shares (does not copy) the vectors;
-// they must not be mutated for the set's lifetime. All methods are pure
-// reads, safe for any number of concurrent goroutines.
+// they must not be mutated for the set's lifetime. All methods are safe
+// for any number of concurrent goroutines.
 type Set struct {
 	vecs []*bitvec.Vector
 	ix   *Index // covers vecs[:ix.Len()]; nil while the set scans exactly
@@ -225,8 +226,9 @@ func appendWithin(out []int, q *bitvec.Vector, vs []*bitvec.Vector, base, r int)
 
 // Index is a bit-sampling sketch index over a fixed slice of vectors. It
 // shares (does not copy) the indexed vectors; they must not be mutated for
-// the index's lifetime. All methods are pure reads after New, safe for any
-// number of concurrent goroutines.
+// the index's lifetime. All methods are reads after New, safe for any
+// number of concurrent goroutines; each query borrows its working memory
+// from the index, so a warm query allocates nothing.
 type Index struct {
 	d          int
 	m          int   // signature bits
@@ -236,6 +238,43 @@ type Index struct {
 	sigs       []uint64
 	vecs       []*bitvec.Vector
 	slack      float64
+
+	mu   sync.Mutex      // guards free
+	free []*queryScratch // query scratch no query is using
+}
+
+// queryScratch is one query's working memory: the query signature, the n
+// signature distances and their histogram.
+type queryScratch struct {
+	sig  []uint64
+	ds   []int32
+	hist []int
+}
+
+// getScratch borrows a query's working memory, allocating it only when
+// every earlier one is in use; putScratch returns it. The free list keeps
+// one scratch per query that ever ran concurrently, and a mutex is cheap
+// next to a query's signature pass.
+func (ix *Index) getScratch() *queryScratch {
+	ix.mu.Lock()
+	if n := len(ix.free); n > 0 {
+		qs := ix.free[n-1]
+		ix.free = ix.free[:n-1]
+		ix.mu.Unlock()
+		return qs
+	}
+	ix.mu.Unlock()
+	return &queryScratch{
+		sig:  make([]uint64, ix.sigWords),
+		ds:   make([]int32, len(ix.vecs)),
+		hist: make([]int, ix.m+1),
+	}
+}
+
+func (ix *Index) putScratch(qs *queryScratch) {
+	ix.mu.Lock()
+	ix.free = append(ix.free, qs)
+	ix.mu.Unlock()
 }
 
 // New builds an index over vs with the given configuration. It panics on an
@@ -338,14 +377,15 @@ func (ix *Index) Nearest(q *bitvec.Vector) (idx, hd int) {
 	}
 	n := len(ix.vecs)
 	sw := ix.sigWords
-	qsig := make([]uint64, sw)
+	qs := ix.getScratch()
+	defer ix.putScratch(qs)
+	qsig, ds, hist := qs.sig, qs.ds, qs.hist
 	ix.signatureInto(q, qsig)
+	clear(hist)
 
 	// Signature-distance pass: the sublinear bulk of the work, m/64 words
 	// per stored vector instead of d/64. int32 holds any signature
 	// distance (m is clamped to d, and dimensions are ints).
-	ds := make([]int32, n)
-	hist := make([]int, ix.m+1)
 	for i := 0; i < n; i++ {
 		base := i * sw
 		sd := 0
@@ -424,7 +464,9 @@ func (ix *Index) WithinRadius(q *bitvec.Vector, r int, out []int) []int {
 		return appendWithin(out, q, ix.vecs, 0, r)
 	}
 	sw := ix.sigWords
-	qsig := make([]uint64, sw)
+	qs := ix.getScratch()
+	defer ix.putScratch(qs)
+	qsig := qs.sig
 	ix.signatureInto(q, qsig)
 	for i, v := range ix.vecs {
 		base := i * sw

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"sync"
 	"testing"
 
 	"hdcirc/internal/bitvec"
@@ -116,6 +117,61 @@ func TestApproximateRecallFloor(t *testing.T) {
 	if recall < 0.99 {
 		t.Fatalf("recall %.4f below 0.99 floor (%d/%d)", recall, hits, queries)
 	}
+}
+
+func TestWarmQueriesAllocateNothing(t *testing.T) {
+	// Nearest and a screened WithinRadius borrow their signature,
+	// distances and histogram from the index, so a warm query allocates
+	// nothing but the radius results it appends.
+	const d = 1024
+	vs := randomVecs(3000, d, 21)
+	ix := New(vs, Config{Seed: 4})
+	q := noisy(vs[7], 0.2, rng.Sub(5, "warm-query"))
+	out := make([]int, 0, len(vs))
+	ix.Nearest(q)
+	if n := testing.AllocsPerRun(20, func() { ix.Nearest(q) }); n != 0 {
+		t.Errorf("Index.Nearest made %v allocations, want 0", n)
+	}
+	if _, useful := ix.radiusThreshold(d / 4); !useful {
+		t.Fatal("radius d/4 should be screened")
+	}
+	if n := testing.AllocsPerRun(20, func() { out = ix.WithinRadius(q, d/4, out[:0]) }); n != 0 {
+		t.Errorf("Index.WithinRadius made %v allocations, want 0", n)
+	}
+}
+
+func TestConcurrentQueriesAgree(t *testing.T) {
+	// Readers share the index's free list of query scratch; run under
+	// -race in CI.
+	const d = 512
+	vs := randomVecs(2500, d, 22)
+	ix := New(vs, Config{Seed: 6})
+	src := rng.Sub(8, "concurrent-queries")
+	queries := make([]*bitvec.Vector, 40)
+	wantIdx := make([]int, len(queries))
+	wantWithin := make([][]int, len(queries))
+	for i := range queries {
+		queries[i] = noisy(vs[(i*61)%len(vs)], 0.25, src)
+		wantIdx[i], _ = ix.Nearest(queries[i])
+		wantWithin[i] = ix.WithinRadius(queries[i], d/3, nil)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range queries {
+				i := (j + g) % len(queries)
+				if idx, _ := ix.Nearest(queries[i]); idx != wantIdx[i] {
+					t.Errorf("goroutine %d: Nearest %d = %d, want %d", g, i, idx, wantIdx[i])
+				}
+				if got := ix.WithinRadius(queries[i], d/3, nil); len(got) != len(wantWithin[i]) {
+					t.Errorf("goroutine %d: WithinRadius %d found %d, want %d", g, i, len(got), len(wantWithin[i]))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestApproximateDistanceIsAlwaysExactForReturnedIndex(t *testing.T) {

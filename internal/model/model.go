@@ -317,8 +317,9 @@ func (r *Regressor) PredictVector(sampleHV *bitvec.Vector) *bitvec.Vector {
 
 // Predict decodes the approximate label hypervector against the label
 // encoder and returns the value. The unbinding M ⊗ φ(x̂) and the
-// nearest-label scan run as one fused kernel; no intermediate vector is
-// allocated.
+// nearest-label search run as one fused kernel, the walk of the label
+// set's transitions (ScalarEncoder.DecodeBound); once the model is
+// finalized and the walk built, Predict allocates nothing.
 func (r *Regressor) Predict(sampleHV *bitvec.Vector, labels *embed.ScalarEncoder) float64 {
 	return labels.DecodeBound(r.Model(), sampleHV)
 }

@@ -343,6 +343,26 @@ func TestRegressorAddAllocatesNothing(t *testing.T) {
 	}
 }
 
+func TestRegressorPredictAllocatesNothing(t *testing.T) {
+	// After the first decode has built the label set's walk, a prediction
+	// and a plain label decode allocate nothing.
+	const d = 10000
+	src := rng.New(28)
+	labels := embed.NewScalarEncoder(core.LevelSet(128, d, src), 0, 1)
+	reg := NewRegressor(d, 29)
+	for i := 0; i < 8; i++ {
+		reg.Add(bitvec.Random(d, src), labels.Encode(float64(i)/8))
+	}
+	x := bitvec.Random(d, src)
+	reg.Predict(x, labels)
+	if n := testing.AllocsPerRun(20, func() { reg.Predict(x, labels) }); n != 0 {
+		t.Errorf("Regressor.Predict made %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { labels.DecodeIndex(x) }); n != 0 {
+		t.Errorf("ScalarEncoder.DecodeIndex made %v allocations, want 0", n)
+	}
+}
+
 func TestRegressorPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
